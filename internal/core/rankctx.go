@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"dfccl/internal/cudasim"
@@ -427,7 +429,11 @@ func (r *RankContext) completionErr(id int) error {
 // idempotent cleanup for killed ranks, run by the exiting poller and
 // by ReviveRank (whichever comes first).
 func (r *RankContext) releaseAll() {
-	for id, t := range r.tasks {
+	// In ID order: retiring returns executors and communicators to
+	// pools, and the order they return in decides which later Opens
+	// reuse which.
+	for _, id := range slices.Sorted(maps.Keys(r.tasks)) {
+		t := r.tasks[id]
 		r.sys.retireExec(t.exec)
 		delete(r.tasks, id)
 		delete(r.callbacks, id)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"dfccl/internal/cudasim"
@@ -296,7 +298,11 @@ func (s *System) KillRank(rank int) {
 		rec.RecordMark(trace.Mark{At: s.Engine.Now(), Kind: trace.MarkKill, GPU: rank, Coll: -1})
 	}
 	e := s.Engine
-	for _, g := range s.groups {
+	// Groups go in ID order and members in ring order: the wakes below
+	// schedule the woken processes, so their order fixes the virtual
+	// timeline after the kill.
+	for _, id := range slices.Sorted(maps.Keys(s.groups)) {
+		g := s.groups[id]
 		if _, in := g.posOf[rank]; !in {
 			continue
 		}
@@ -304,10 +310,6 @@ func (s *System) KillRank(rank int) {
 			g.abortErr = &RankLostError{CollID: g.ID, Lost: []int{rank}}
 			s.aborts++
 			if rec != nil {
-				// Map iteration makes same-instant abort marks arrive in
-				// nondeterministic order; the recorder's documented stable
-				// sort (time, kind, gpu, coll) restores determinism at
-				// export.
 				rec.RecordMark(trace.Mark{At: s.Engine.Now(), Kind: trace.MarkAbort, GPU: rank, Coll: g.ID, Note: "rank lost"})
 			}
 		} else {
@@ -316,7 +318,7 @@ func (s *System) KillRank(rank int) {
 		// Wake daemons blocked on the group's connectors so the abort
 		// is observed immediately instead of after the spin budget.
 		g.comm.wake(e)
-		for member := range g.posOf {
+		for _, member := range g.Spec.Ranks {
 			if mc := s.rankAt(member); mc != nil {
 				mc.pollerWake.Broadcast(e)
 			}

@@ -132,58 +132,19 @@ func (b *Buffer) Slice(lo, hi int) []byte {
 // Float64At decodes element i as a float64 regardless of the element type.
 func (b *Buffer) Float64At(i int) float64 {
 	sz := b.Type.Size()
-	raw := b.data[i*sz : (i+1)*sz]
-	switch b.Type {
-	case Float32:
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(raw)))
-	case Float64:
-		return math.Float64frombits(binary.LittleEndian.Uint64(raw))
-	case Int32:
-		return float64(int32(binary.LittleEndian.Uint32(raw)))
-	case Int64:
-		return float64(int64(binary.LittleEndian.Uint64(raw)))
-	default:
-		panic("mem: unknown type")
-	}
+	return decode(b.Type, b.data[i*sz:(i+1)*sz])
 }
 
 // SetFloat64 encodes v into element i, converting to the element type.
 func (b *Buffer) SetFloat64(i int, v float64) {
 	sz := b.Type.Size()
-	raw := b.data[i*sz : (i+1)*sz]
-	switch b.Type {
-	case Float32:
-		binary.LittleEndian.PutUint32(raw, math.Float32bits(float32(v)))
-	case Float64:
-		binary.LittleEndian.PutUint64(raw, math.Float64bits(v))
-	case Int32:
-		binary.LittleEndian.PutUint32(raw, uint32(int32(v)))
-	case Int64:
-		binary.LittleEndian.PutUint64(raw, uint64(int64(v)))
-	default:
-		panic("mem: unknown type")
-	}
+	encode(b.Type, b.data[i*sz:(i+1)*sz], v)
 }
 
 // Fill sets every element to v.
 func (b *Buffer) Fill(v float64) {
 	for i := 0; i < b.Len(); i++ {
 		b.SetFloat64(i, v)
-	}
-}
-
-// Reduce applies op element-wise over src into dst (dst = dst op src).
-// Both slices must hold whole elements of type t.
-func Reduce(op ReduceOp, t DataType, dst, src []byte) {
-	sz := t.Size()
-	if len(dst) != len(src) || len(dst)%sz != 0 {
-		panic(fmt.Sprintf("mem: Reduce size mismatch: dst=%d src=%d elem=%d", len(dst), len(src), sz))
-	}
-	n := len(dst) / sz
-	for i := 0; i < n; i++ {
-		d := decode(t, dst[i*sz:])
-		s := decode(t, src[i*sz:])
-		encode(t, dst[i*sz:], apply(op, d, s))
 	}
 }
 
@@ -217,23 +178,133 @@ func encode(t DataType, raw []byte, v float64) {
 	}
 }
 
-func apply(op ReduceOp, a, b float64) float64 {
-	switch op {
-	case Sum:
-		return a + b
-	case Prod:
-		return a * b
-	case Max:
-		if a > b {
-			return a
-		}
-		return b
-	case Min:
-		if a < b {
-			return a
-		}
-		return b
-	default:
-		panic("mem: unknown op")
+// Reduce applies op element-wise over src into dst (dst = dst op src).
+// Both slices must hold whole elements of type t.
+//
+// It picks one kernel per (type, op) and runs it over whole words.
+// Float results are what float64 arithmetic rounded back to the element
+// type gives, bit for bit; when both operands of a Sum or Prod are NaN,
+// either one may come back, quieted. Integer types use native
+// two's-complement arithmetic: Sum and Prod wrap on overflow, as a GPU
+// kernel does.
+func Reduce(op ReduceOp, t DataType, dst, src []byte) {
+	sz := t.Size()
+	if len(dst) != len(src) || len(dst)%sz != 0 {
+		panic(fmt.Sprintf("mem: Reduce size mismatch: dst=%d src=%d elem=%d", len(dst), len(src), sz))
 	}
+	switch t {
+	case Float32:
+		switch op {
+		case Sum:
+			each32(dst, src, func(d, s uint32) uint32 { return f32bits(f32(d) + f32(s)) })
+		case Prod:
+			each32(dst, src, func(d, s uint32) uint32 { return f32bits(f32(d) * f32(s)) })
+		case Max:
+			each32(dst, src, func(d, s uint32) uint32 {
+				if f32(d) > f32(s) {
+					return d
+				}
+				return quiet32(s)
+			})
+		case Min:
+			each32(dst, src, func(d, s uint32) uint32 {
+				if f32(d) < f32(s) {
+					return d
+				}
+				return quiet32(s)
+			})
+		default:
+			panic("mem: unknown op")
+		}
+	case Float64:
+		switch op {
+		case Sum:
+			each64(dst, src, func(d, s uint64) uint64 { return f64bits(f64(d) + f64(s)) })
+		case Prod:
+			each64(dst, src, func(d, s uint64) uint64 { return f64bits(f64(d) * f64(s)) })
+		case Max:
+			each64(dst, src, func(d, s uint64) uint64 {
+				if f64(d) > f64(s) {
+					return d
+				}
+				return s
+			})
+		case Min:
+			each64(dst, src, func(d, s uint64) uint64 {
+				if f64(d) < f64(s) {
+					return d
+				}
+				return s
+			})
+		default:
+			panic("mem: unknown op")
+		}
+	case Int32:
+		switch op {
+		case Sum:
+			each32(dst, src, func(d, s uint32) uint32 { return d + s })
+		case Prod:
+			each32(dst, src, func(d, s uint32) uint32 { return d * s })
+		case Max:
+			each32(dst, src, func(d, s uint32) uint32 { return uint32(max(int32(d), int32(s))) })
+		case Min:
+			each32(dst, src, func(d, s uint32) uint32 { return uint32(min(int32(d), int32(s))) })
+		default:
+			panic("mem: unknown op")
+		}
+	case Int64:
+		switch op {
+		case Sum:
+			each64(dst, src, func(d, s uint64) uint64 { return d + s })
+		case Prod:
+			each64(dst, src, func(d, s uint64) uint64 { return d * s })
+		case Max:
+			each64(dst, src, func(d, s uint64) uint64 { return uint64(max(int64(d), int64(s))) })
+		case Min:
+			each64(dst, src, func(d, s uint64) uint64 { return uint64(min(int64(d), int64(s))) })
+		default:
+			panic("mem: unknown op")
+		}
+	default:
+		panic("mem: unknown type")
+	}
+}
+
+// each32 sets every 4-byte little-endian word of dst to f(dst word, src
+// word). It is small enough to inline, so each call site's literal f
+// inlines into a loop of its own. Indexing both slices by one counter
+// keeps the loop to two loads, the operation, one store and two
+// predictable bounds checks; advancing the slices instead costs a
+// pointer mask and two more live lengths per word and runs slower.
+func each32(dst, src []byte, f func(d, s uint32) uint32) {
+	src = src[:len(dst)]
+	for i := 0; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		binary.LittleEndian.PutUint32(d, f(binary.LittleEndian.Uint32(d), binary.LittleEndian.Uint32(s)))
+	}
+}
+
+// each64 is each32 for 8-byte words.
+func each64(dst, src []byte, f func(d, s uint64) uint64) {
+	src = src[:len(dst)]
+	for i := 0; i+8 <= len(dst); i += 8 {
+		d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+		binary.LittleEndian.PutUint64(d, f(binary.LittleEndian.Uint64(d), binary.LittleEndian.Uint64(s)))
+	}
+}
+
+func f32(w uint32) float32     { return math.Float32frombits(w) }
+func f32bits(v float32) uint32 { return math.Float32bits(v) }
+func f64(w uint64) float64     { return math.Float64frombits(w) }
+func f64bits(v float64) uint64 { return math.Float64bits(v) }
+
+// quiet32 sets the quiet bit of a float32 NaN and returns any other
+// value unchanged. Widening a float32 to float64 quiets a signalling
+// NaN, so a Max or Min result equals its float64 comparison's only if
+// a NaN operand passed through comes out quiet.
+func quiet32(w uint32) uint32 {
+	if w&0x7fffffff > 0x7f800000 {
+		return w | 1<<22
+	}
+	return w
 }
