@@ -314,6 +314,22 @@ func BenchmarkTraceProbe_WithRecorder(b *testing.B) {
 	b.ReportMetric(float64(e2e)/1000, "e2e-us")
 }
 
+// --- Simulator cost -------------------------------------------------
+
+// BenchmarkAllToAllContentionSweep runs the 4-node all-to-all
+// congestion sweep at oversubscription 1, 2 and 4: real bytes through
+// every connector, so its B/op tracks the data plane's allocation
+// (chunks and executor scratch come from mem's pool) plus the sweep's
+// own send/recv buffers.
+func BenchmarkAllToAllContentionSweep(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := bench.AllToAllContentionSweep([]float64{1, 2, 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Ablations of DESIGN.md's called-out design choices -------------
 
 func BenchmarkAblation_LazyContextSaving(b *testing.B) {

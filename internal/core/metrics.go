@@ -20,11 +20,14 @@ type retiredStats struct {
 }
 
 // retireExec folds a dropped executor's counters into the system
-// aggregates. Every path that deletes a collTask must call it.
+// aggregates and returns its scratch to the chunk pool; executors are
+// never reused (executorFor builds a new one on every Open). Every
+// path that deletes a collTask must call it.
 func (s *System) retireExec(x *prim.Executor) {
 	s.retired.prims += x.PrimsExecuted
 	s.retired.spinAborts += x.SpinAborts
 	s.retired.bytes.Add(x.BytesSentBy)
+	x.Release()
 }
 
 // retireRank folds a revived rank context's counters into the system

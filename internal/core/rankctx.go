@@ -429,9 +429,10 @@ func (r *RankContext) completionErr(id int) error {
 // idempotent cleanup for killed ranks, run by the exiting poller and
 // by ReviveRank (whichever comes first).
 func (r *RankContext) releaseAll() {
-	// In ID order: retiring returns executors and communicators to
-	// pools, and the order they return in decides which later Opens
-	// reuse which.
+	// In ID order: retiring returns communicators to their pool, and
+	// the order they return in decides which later Opens reuse which.
+	// (Executor scratch goes back to the chunk pool too, but comes out
+	// zeroed whichever slice a later Open gets.)
 	for _, id := range slices.Sorted(maps.Keys(r.tasks)) {
 		t := r.tasks[id]
 		r.sys.retireExec(t.exec)

@@ -64,13 +64,15 @@ func (c *Connector) CanRead() bool { return c.tail > c.head }
 
 // Write deposits a chunk into the next slot. The caller must have
 // checked CanWrite; Write panics otherwise, because a real ring buffer
-// overrun would corrupt data. The chunk is copied, matching the
-// semantics of staging data into mapped transfer memory.
+// overrun would corrupt data. The chunk is copied into a pooled slice,
+// matching the semantics of staging data into mapped transfer memory:
+// the slot holds a snapshot taken now, whatever the writer does to
+// chunk afterwards.
 func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 	if !c.CanWrite() {
 		panic(fmt.Sprintf("mem: connector %s overrun", c.name))
 	}
-	buf := make([]byte, len(chunk))
+	buf := getBytes(len(chunk))
 	copy(buf, chunk)
 	c.slots[c.tail%uint64(len(c.slots))] = buf
 	c.tail++
@@ -78,6 +80,8 @@ func (c *Connector) Write(e *sim.Engine, chunk []byte) {
 }
 
 // Read consumes the oldest chunk. The caller must have checked CanRead.
+// The chunk belongs to the caller, who hands it to Recycle once done
+// with it.
 func (c *Connector) Read(e *sim.Engine) []byte {
 	if !c.CanRead() {
 		panic(fmt.Sprintf("mem: connector %s underrun", c.name))
@@ -89,7 +93,8 @@ func (c *Connector) Read(e *sim.Engine) []byte {
 	return chunk
 }
 
-// Peek returns the oldest chunk without consuming it.
+// Peek returns the oldest chunk without consuming it. The slice stays
+// valid only until the chunk is read or drained.
 func (c *Connector) Peek() []byte {
 	if !c.CanRead() {
 		panic(fmt.Sprintf("mem: connector %s underrun on peek", c.name))
@@ -108,9 +113,10 @@ func (c *Connector) Writable() *sim.Cond { return c.writable }
 // elastic membership: when a rank is lost mid-collective, chunks it
 // deposited (or never consumed) are garbage to the next owner, so the
 // pool scrubs the connector before reuse instead of tripping the
-// Reset in-flight panic.
+// Reset in-flight panic. The discarded chunks go back to the pool.
 func (c *Connector) Drain(e *sim.Engine) {
 	for i := range c.slots {
+		Recycle(c.slots[i])
 		c.slots[i] = nil
 	}
 	c.head = c.tail

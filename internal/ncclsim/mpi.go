@@ -45,6 +45,7 @@ func MPIAllReduce(e *sim.Engine, c *topo.Cluster, ranks []int, count int, t mem.
 			p.Sleep(sim.Duration(float64(bytes) / mpiPCIeBandwidth * 1e9))
 			for x.StepOnce(p, -1) != prim.Done {
 			}
+			x.Release()
 			// Stage host -> device.
 			p.Sleep(sim.Duration(float64(bytes) / mpiPCIeBandwidth * 1e9))
 		})

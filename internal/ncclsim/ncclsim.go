@@ -176,6 +176,7 @@ func (c *Comm) Launch(p *sim.Process, stream *cudasim.Stream, rank int, spec pri
 			prevStage, prevRound := 0, 0
 			for {
 				if x.StepOnce(kc.Process, -1) == prim.Done {
+					x.Release() // a Launch's executor runs once
 					return
 				}
 				if x.Stage > prevStage || x.Round > prevRound {

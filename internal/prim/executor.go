@@ -194,9 +194,19 @@ func newExecutorSeq(spec Spec, pos int, seq *Sequence, sendBuf, recvBuf *mem.Buf
 		ComputeBW: computeBW,
 	}
 	if x.Seq.useScratch && !spec.TimingOnly {
-		x.scratch = mem.NewBuffer(mem.DeviceSpace, spec.Type, x.Seq.workLen)
+		x.scratch = mem.NewScratchBuffer(mem.DeviceSpace, spec.Type, x.Seq.workLen)
 	}
 	return x
+}
+
+// Release returns the executor's scratch buffer to the chunk pool. The
+// executor must not run again afterwards; its owning runtime calls
+// Release when it drops the executor for good.
+func (x *Executor) Release() {
+	if x.scratch != nil {
+		mem.Recycle(x.scratch.Bytes())
+		x.scratch = nil
+	}
 }
 
 // work returns the working buffer the sequence operates on.
@@ -524,7 +534,8 @@ func (x *Executor) sendHalf(p *sim.Process, a Action) {
 }
 
 // recvHalf consumes a chunk and reduces or copies it into the action's
-// recv segment, charging compute time.
+// recv segment, charging compute time, then recycles the chunk
+// (TimingOnly chunks are empty and need no recycling).
 func (x *Executor) recvHalf(p *sim.Process, a Action) {
 	chunk := x.Ins[a.RecvConn].Read(p.Engine())
 	sr := x.Seq.recvSlice(a, x.Round)
@@ -543,6 +554,7 @@ func (x *Executor) recvHalf(p *sim.Process, a Action) {
 	} else {
 		copy(dst, chunk)
 	}
+	mem.Recycle(chunk)
 }
 
 // Ring wires the connectors for one collective over a cluster: conn[i]

@@ -167,16 +167,12 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	p := &Process{
 		engine: e,
 		name:   name,
-		resume: make(chan resumeMsg),
+		resume: make(chan struct{}),
 		yield:  make(chan yieldMsg),
 	}
 	e.procs[p] = struct{}{}
 	go func() {
-		msg := <-p.resume // wait for first scheduling
-		if msg.kind == resumeKill {
-			p.yield <- yieldMsg{kind: yieldDone}
-			return
-		}
+		<-p.resume // wait for first scheduling
 		defer func() {
 			if r := recover(); r != nil {
 				p.yield <- yieldMsg{kind: yieldPanic, panicVal: r}
@@ -225,15 +221,15 @@ func (e *Engine) Run() error {
 			delete(e.blocked, p)
 			p.timedOut = true
 		}
-		if err := e.step(p, resumeMsg{kind: resumeRun}); err != nil {
+		if err := e.step(p); err != nil {
 			return err
 		}
 	}
 }
 
 // step resumes p and processes its next yield.
-func (e *Engine) step(p *Process, msg resumeMsg) error {
-	p.resume <- msg
+func (e *Engine) step(p *Process) error {
+	p.resume <- struct{}{}
 	y := <-p.yield
 	switch y.kind {
 	case yieldDone:
