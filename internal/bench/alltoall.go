@@ -97,7 +97,7 @@ func runA2AWith(cluster *topo.Cluster, net *fabric.Network, counts [][]int, algo
 	cfg := core.DefaultConfig()
 	cfg.Network = net
 	sys := core.NewSystem(e, cluster, cfg)
-	bar := NewBarrier(n)
+	bar := sim.NewBarrier("bench.barrier", n)
 	row := A2ARow{Algo: algo}
 	outs := make([][]byte, n)
 	var firstErr error

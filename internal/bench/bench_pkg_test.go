@@ -10,7 +10,7 @@ import (
 
 func TestBarrier(t *testing.T) {
 	e := sim.NewEngine()
-	bar := NewBarrier(3)
+	bar := sim.NewBarrier("bench.barrier", 3)
 	var order []sim.Time
 	for i := 0; i < 3; i++ {
 		d := sim.Duration(i * 10)

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"dfccl/internal/chaos"
+	"dfccl/internal/cluster"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -16,10 +16,7 @@ type ChaosRow struct {
 	Name string
 	// Report is the harness outcome (attempts, faults, trajectory,
 	// bit-identical verdict).
-	Report *chaos.Report
-	// WantReform requires a revive-driven re-formation; WantChange
-	// requires the committed trajectory to span a membership change.
-	WantReform, WantChange bool
+	Report *cluster.ElasticReport
 }
 
 // String renders the row for the trainbench output.
@@ -32,7 +29,7 @@ func (r ChaosRow) String() string {
 // chaosScenario is one fixed entry of the gate's fault matrix.
 type chaosScenario struct {
 	name                   string
-	cfg                    chaos.Config
+	cfg                    cluster.ElasticConfig
 	wantReform, wantChange bool
 }
 
@@ -52,57 +49,57 @@ func chaosScenarios(iters int) []chaosScenario {
 	return []chaosScenario{
 		{
 			name: "dp/kill",
-			cfg: chaos.Config{
+			cfg: cluster.ElasticConfig{
 				Workload: "dp", Cluster: topo.Server3090(4), Ranks: []int{0, 1, 2, 3},
 				Iterations: iters,
-				Schedule:   chaos.Schedule{{At: kill, Kind: chaos.Kill, Rank: 2}},
+				Faults:     []cluster.Event{{At: kill, Kind: cluster.Kill, Rank: 2}},
 			},
 			wantChange: true,
 		},
 		{
 			name: "moe-ring/kill+revive",
-			cfg: chaos.Config{
+			cfg: cluster.ElasticConfig{
 				Workload: "moe", Cluster: topo.Server3090(4), Ranks: []int{0, 1, 2, 3},
 				Iterations: iters, Algo: prim.AlgoRing,
-				Schedule: chaos.Schedule{
-					{At: kill, Kind: chaos.Kill, Rank: 1},
-					{At: second, Kind: chaos.Revive, Rank: 1},
+				Faults: []cluster.Event{
+					{At: kill, Kind: cluster.Kill, Rank: 1},
+					{At: second, Kind: cluster.Revive, Rank: 1},
 				},
 			},
 			wantReform: true, wantChange: true,
 		},
 		{
 			name: "moe-hier/kill+revive",
-			cfg: chaos.Config{
+			cfg: cluster.ElasticConfig{
 				Workload: "moe", Cluster: topo.MultiNode3090(2), Ranks: []int{0, 1, 8, 9},
 				Iterations: iters, Algo: prim.AlgoHierarchical,
-				Schedule: chaos.Schedule{
-					{At: kill, Kind: chaos.Kill, Rank: 9},
-					{At: second, Kind: chaos.Revive, Rank: 9},
+				Faults: []cluster.Event{
+					{At: kill, Kind: cluster.Kill, Rank: 9},
+					{At: second, Kind: cluster.Revive, Rank: 9},
 				},
 			},
 			wantReform: true, wantChange: true,
 		},
 		{
 			name: "dp-auto/kill+revive",
-			cfg: chaos.Config{
+			cfg: cluster.ElasticConfig{
 				Workload: "dp", Cluster: topo.MultiNode3090(2), Ranks: []int{0, 1, 8, 9},
 				Iterations: iters, Algo: prim.AlgoAuto,
-				Schedule: chaos.Schedule{
-					{At: kill, Kind: chaos.Kill, Rank: 9},
-					{At: second, Kind: chaos.Revive, Rank: 9},
+				Faults: []cluster.Event{
+					{At: kill, Kind: cluster.Kill, Rank: 9},
+					{At: second, Kind: cluster.Revive, Rank: 9},
 				},
 			},
 			wantReform: true, wantChange: true,
 		},
 		{
 			name: "zero/double-kill",
-			cfg: chaos.Config{
+			cfg: cluster.ElasticConfig{
 				Workload: "zero", Cluster: topo.Server3090(4), Ranks: []int{0, 1, 2, 3},
 				Iterations: iters,
-				Schedule: chaos.Schedule{
-					{At: kill, Kind: chaos.Kill, Rank: 3},
-					{At: second, Kind: chaos.Kill, Rank: 0},
+				Faults: []cluster.Event{
+					{At: kill, Kind: cluster.Kill, Rank: 3},
+					{At: second, Kind: cluster.Kill, Rank: 0},
 				},
 			},
 			wantChange: true,
@@ -126,21 +123,14 @@ func Chaos(iters int) ([]ChaosRow, error) {
 	}
 	var rows []ChaosRow
 	for _, sc := range chaosScenarios(iters) {
-		rep, err := chaos.Run(sc.cfg)
-		rows = append(rows, ChaosRow{Name: sc.name, Report: rep, WantReform: sc.wantReform, WantChange: sc.wantChange})
+		rep, err := cluster.RunElastic(sc.cfg)
+		rows = append(rows, ChaosRow{Name: sc.name, Report: rep})
 		if err != nil {
 			return rows, fmt.Errorf("bench: chaos %s: %w", sc.name, err)
 		}
-		if rep.Hang {
-			return rows, fmt.Errorf("bench: chaos %s: hang", sc.name)
-		}
-		if !rep.BitIdentical || rep.Committed != sc.cfg.Iterations {
-			return rows, fmt.Errorf("bench: chaos %s: committed %d/%d, bit-identical=%v",
-				sc.name, rep.Committed, sc.cfg.Iterations, rep.BitIdentical)
-		}
 		wantKills := 0
-		for _, ev := range sc.cfg.Schedule {
-			if ev.Kind == chaos.Kill {
+		for _, ev := range sc.cfg.Faults {
+			if ev.Kind == cluster.Kill {
 				wantKills++
 			}
 		}
@@ -168,13 +158,13 @@ func Chaos(iters int) ([]ChaosRow, error) {
 func ChaosBenchCells(iters int) ([]BenchCell, error) {
 	var cells []BenchCell
 	for _, sc := range chaosScenarios(iters) {
-		faulted, err := chaos.Run(sc.cfg)
+		faulted, err := cluster.RunElastic(sc.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: chaos cell %s: %w", sc.name, err)
 		}
 		clean := sc.cfg
-		clean.Schedule = nil
-		baseline, err := chaos.Run(clean)
+		clean.Faults = nil
+		baseline, err := cluster.RunElastic(clean)
 		if err != nil {
 			return nil, fmt.Errorf("bench: chaos cell %s (fault-free): %w", sc.name, err)
 		}

@@ -117,7 +117,7 @@ func ClusterGate() ([]ClusterRow, error) {
 		Jobs:    []cluster.JobSpec{{ID: 1, Kind: "dp", Size: 2, Iterations: 3, Compute: 20 * sim.Microsecond}},
 		Policy:  cluster.FIFO{},
 		Oversub: clusterOversub,
-		Kills:   []cluster.KillEvent{{At: 30 * sim.Microsecond, Rank: 0}},
+		Faults:  []cluster.Event{{At: 30 * sim.Microsecond, Kind: cluster.Kill, Rank: 0}},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster gate: kill scenario: %w", err)
@@ -184,6 +184,16 @@ func ClusterBenchCells() ([]BenchCell, error) {
 	if err != nil {
 		return nil, err
 	}
+	alloc, err := LaunchPathAllocCell()
+	if err != nil {
+		return nil, err
+	}
+	return append(clusterCells(rows), alloc), nil
+}
+
+// clusterCells flattens the cluster gate's rows into one benchmark
+// cell per admission policy.
+func clusterCells(rows []ClusterRow) []BenchCell {
 	var cells []BenchCell
 	for _, r := range rows {
 		cells = append(cells, BenchCell{
@@ -194,9 +204,5 @@ func ClusterBenchCells() ([]BenchCell, error) {
 			P50Ns: int64(r.P50), P99Ns: int64(r.P99), HiPriP99Ns: int64(r.HiP99),
 		})
 	}
-	alloc, err := LaunchPathAllocCell()
-	if err != nil {
-		return nil, err
-	}
-	return append(cells, alloc), nil
+	return cells
 }

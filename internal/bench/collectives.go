@@ -80,7 +80,7 @@ func MeasureNCCL(cfg CollConfig) (CollResult, error) {
 	n := cfg.Cluster.Size()
 	spec := cfg.spec()
 	comm := lib.NewComm(spec.Ranks)
-	bar := NewBarrier(n)
+	bar := sim.NewBarrier("bench.barrier", n)
 	var e2eSum, coreSum sim.Duration
 	measured := 0
 	for rank := 0; rank < n; rank++ {
@@ -123,7 +123,7 @@ func MeasureDFCCL(cfg CollConfig, conf core.Config) (CollResult, error) {
 	sys := core.NewSystem(e, cfg.Cluster, conf)
 	n := cfg.Cluster.Size()
 	spec := cfg.spec()
-	bar := NewBarrier(n)
+	bar := sim.NewBarrier("bench.barrier", n)
 	var e2eSum, coreSum sim.Duration
 	measured := 0
 	var firstErr error

@@ -10,36 +10,7 @@ import (
 	"math/rand"
 
 	"dfccl/internal/mem"
-	"dfccl/internal/sim"
 )
-
-// Barrier synchronizes n simulated processes at iteration boundaries.
-type Barrier struct {
-	n       int
-	arrived int
-	gen     int
-	cond    *sim.Cond
-}
-
-// NewBarrier creates a barrier for n processes.
-func NewBarrier(n int) *Barrier {
-	return &Barrier{n: n, cond: sim.NewCond("bench.barrier")}
-}
-
-// Wait blocks until all n processes arrive.
-func (b *Barrier) Wait(p *sim.Process) {
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast(p.Engine())
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait(p)
-	}
-}
 
 // SizeSweep returns the Fig. 8-style buffer sweep in bytes.
 func SizeSweep(minBytes, maxBytes int) []int {

@@ -36,7 +36,7 @@ func PoolChurn(nGPUs, cycles int) (PoolChurnResult, error) {
 	for i := range ranks {
 		ranks[i] = i
 	}
-	bar := NewBarrier(nGPUs)
+	bar := sim.NewBarrier("bench.barrier", nGPUs)
 	res := PoolChurnResult{Cycles: cycles}
 	var firstErr error
 	for rank := 0; rank < nGPUs; rank++ {

@@ -109,7 +109,7 @@ func traceScenario() (*TraceResult, error) {
 		}
 	}
 	killed := make([]bool, n)
-	start := NewBarrier(n)
+	start := sim.NewBarrier("bench.barrier", n)
 
 	// runIter launches the DP all-reduce then the MoE all-to-all; a
 	// typed ErrRankLost anywhere means the kill landed.

@@ -62,7 +62,7 @@ func runCollWith(cluster *topo.Cluster, net *fabric.Network, kind prim.Kind, cou
 		cfg.Tracer = rec
 	}
 	sys := core.NewSystem(e, cluster, cfg)
-	bar := NewBarrier(n)
+	bar := sim.NewBarrier("bench.barrier", n)
 	row := CollRunRow{}
 	outs := make([][]byte, n)
 	var firstErr error

@@ -1,36 +1,40 @@
-// Package cluster is the multi-tenant cluster driver: it turns the
-// single-job library into the "millions of users" scenario by running
-// many heterogeneous training jobs — data-parallel, MoE, ZeRO, and a
-// hybrid of the three — concurrently against one shared fabric, one
-// communicator pool, and one set of per-GPU daemons.
+// Package cluster runs data-carrying training jobs on one simulated
+// deployment and proves that nothing a job goes through — sharing
+// GPUs, daemons, and a fabric with other tenants, or losing and
+// regaining ranks mid-collective — changes its data. Only timing may
+// change.
 //
-// The driver borrows SYSFLOW's split of a lightweight control plane
-// from per-instance data-plane queues. The control plane is two small
-// simulated processes: an arrival injector that releases jobs from a
-// Poisson or trace-driven schedule into the pending queue, and an
-// admission controller that re-runs a pluggable Policy (FIFO, priority,
-// NIC-load bin-packing) on every arrival, completion, or requeue,
-// placing admitted jobs onto — possibly overlapping — rank sets subject
-// to a per-GPU concurrency slot cap. The data plane is the jobs
-// themselves: per-member worker processes sharing the per-rank contexts
-// and daemon queues, launching collectives tagged with WithJob and
-// WithPriority so daemon scheduling, trace spans, and fabric flows all
-// carry the tenant.
+// Two thin drivers share one data plane. The tenant driver (Run) takes
+// SYSFLOW's split of a lightweight control plane from per-instance
+// data planes: an arrival injector releases jobs from a Poisson or
+// trace-driven schedule into the pending queue, and an admission
+// controller re-runs a pluggable Policy (FIFO, priority, NIC-load
+// bin-packing) on every arrival, completion, requeue, or revive,
+// placing jobs onto possibly overlapping rank sets under a per-GPU
+// slot cap. Jobs launch collectives tagged with WithJob and
+// WithPriority, so daemon scheduling, trace spans, and fabric flows all
+// carry the tenant, and daemons order their queues by priority. The
+// elastic driver (RunElastic) runs one job pinned to its ranks through
+// a kill/revive script with a restart-the-epoch protocol: a kill aborts
+// the attempt, a revive requests re-formation at the next attempt
+// boundary, and each new attempt re-forms the group over the survivors
+// and restarts from the first uncommitted iteration.
 //
-// The core invariant is the library's own: multi-tenancy may change
-// timing, never data. Every committed job iteration is verified
-// element-wise in-run and fingerprinted, and the fingerprints must be
-// bit-identical to the job running alone — checked both against a pure
-// out-of-sim reference (RefHashes) and, in the gates, against an actual
-// solo re-run (SoloHashes). Kills landing during admission or mid-run
-// surface as typed core.ErrRankLost aborts; the aborted job is requeued
-// and re-placed onto survivors, mirroring the chaos harness's
-// restart-the-epoch protocol. Hangs become failures through the
-// engine's MaxTime, never stuck tests.
+// The data plane is the same for both: the workload set (DP, MoE with a
+// runtime-gathered count matrix, ZeRO, and a hybrid), one member
+// attempt loop that commits iterations through poisonable sim.Barriers,
+// one fault injector, and one reference check. Every committed
+// iteration is verified element-wise in-run and fingerprinted, and the
+// fingerprints must be bit-identical to a pure out-of-sim reference
+// over the membership that committed them (RefHashes); the tenant
+// gates also compare against an actual solo re-run (SoloHashes). Kills
+// surface as typed core.ErrRankLost aborts, never hangs: the engine's
+// virtual-time bound turns any hang into a reported failure.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dfccl/internal/metrics"
@@ -68,11 +72,33 @@ type JobSpec struct {
 	Compute sim.Duration
 }
 
-// KillEvent is one scheduled fault: rank Rank dies at time At. Jobs
-// placed on the rank abort with the typed error and are requeued onto
-// survivors; jobs being admitted skip the lost rank at placement.
-type KillEvent struct {
+// EventKind distinguishes fault-script events.
+type EventKind int
+
+const (
+	// Kill removes a rank mid-run (core.System.KillRank).
+	Kill EventKind = iota
+	// Revive returns a previously killed rank to service
+	// (core.System.ReviveRank) once its abort drain completes.
+	Revive
+)
+
+// String names the event kind.
+func (k EventKind) String() string {
+	if k == Kill {
+		return "kill"
+	}
+	return "revive"
+}
+
+// Event is one scheduled fault: at virtual time At from the start of
+// the run, Kind happens to Rank. Events fire in time order; events
+// with equal times fire in script order. Jobs on a killed rank abort
+// with the typed error; under the tenant driver they are requeued onto
+// survivors and a revived rank becomes placeable again.
+type Event struct {
 	At   sim.Duration
+	Kind EventKind
 	Rank int
 }
 
@@ -92,11 +118,8 @@ type Config struct {
 	// fabric with that leaf/spine oversubscription factor; 0 keeps the
 	// legacy independent pricing (contention in queues only).
 	Oversub float64
-	// Kills is the fault schedule.
-	Kills []KillEvent
-	// MaxVirtual bounds the run's virtual time so any hang becomes a
-	// reported failure (default 600 virtual seconds).
-	MaxVirtual sim.Duration
+	// Faults is the kill/revive script.
+	Faults []Event
 	// Recorder, when non-nil, is installed as the run's flight
 	// recorder: per-job action spans, sends, and fabric flow events all
 	// land on one timeline.
@@ -116,7 +139,8 @@ type JobResult struct {
 	// Wait is Admitted-Arrival: time spent queued before first
 	// placement. Latency is Done-Arrival: the job's full sojourn.
 	Wait, Latency sim.Duration
-	// Attempts counts placements (1 = never requeued).
+	// Attempts counts placements, or group formations under the
+	// elastic driver (1 = never requeued or re-formed).
 	Attempts int
 	// Committed is the number of committed iterations.
 	Committed int
@@ -149,22 +173,32 @@ type Report struct {
 	// that left at least one pending job unplaced for lack of free
 	// slots — the full-pool backpressure evidence.
 	Admissions, Requeues, Rejections int
-	// KillsApplied and KillsSkipped count fault-schedule events by
-	// whether they took effect.
-	KillsApplied, KillsSkipped int
+	FaultCounts
 	// PoolCreated and PoolReused are the communicator pool's churn
 	// counters over the whole run.
 	PoolCreated, PoolReused int
 	// JobBytes is the fabric's per-tenant byte attribution (key 0 =
 	// untagged traffic; absent jobs moved no bytes).
 	JobBytes map[int]int64
+	Outcome
+}
+
+// Outcome is how a run ended.
+type Outcome struct {
 	// Elapsed is the run's total virtual time (the makespan).
 	Elapsed sim.Duration
-	// Hang is set when the run deadlocked, exceeded MaxVirtual, or
-	// livelocked past the attempt cap.
+	// Hang is set when the run deadlocked, exceeded the virtual-time
+	// bound, or livelocked past the attempt cap.
 	Hang bool
 	// Err holds the first fatal failure ("" on success).
 	Err string
+}
+
+// FaultCounts counts fault-script events by whether they took effect.
+// A kill is skipped when its target is already lost or was never
+// initialized, a revive when its target is alive.
+type FaultCounts struct {
+	KillsApplied, KillsSkipped, RevivesApplied, RevivesSkipped int
 }
 
 // Ok reports the gate condition: no hang, no error, and every job
@@ -182,6 +216,18 @@ func (r *Report) Ok() bool {
 	return true
 }
 
+// MembershipChanged reports whether the committed trajectory spans
+// more than one distinct membership — i.e. training provably continued
+// across a rank leave or join.
+func (j *JobResult) MembershipChanged() bool {
+	for i := 1; i < len(j.Trajectory); i++ {
+		if !slices.Equal(j.Trajectory[i-1], j.Trajectory[i]) {
+			return true
+		}
+	}
+	return false
+}
+
 // LatencySeries collects Done-Arrival sojourn times (in virtual ns)
 // over the jobs matching pred (nil = all) into a metrics series, so
 // callers report p50/p99 distributions instead of single-run means.
@@ -191,19 +237,6 @@ func (r *Report) LatencySeries(name string, pred func(*JobResult) bool) *metrics
 		j := &r.Jobs[i]
 		if pred == nil || pred(j) {
 			s.Add(float64(j.Latency))
-		}
-	}
-	return s
-}
-
-// WaitSeries collects Admitted-Arrival queueing delays (in virtual ns)
-// over the jobs matching pred (nil = all).
-func (r *Report) WaitSeries(name string, pred func(*JobResult) bool) *metrics.Series {
-	s := &metrics.Series{Name: name}
-	for i := range r.Jobs {
-		j := &r.Jobs[i]
-		if pred == nil || pred(j) {
-			s.Add(float64(j.Wait))
 		}
 	}
 	return s
@@ -233,7 +266,7 @@ func (cfg *Config) validate() error {
 		if j.Iterations <= 0 {
 			return fmt.Errorf("cluster: job %d has %d iterations", j.ID, j.Iterations)
 		}
-		if _, err := newJobWorkload(*j); err != nil {
+		if _, err := newJobWorkload(*j, tenantShape); err != nil {
 			return err
 		}
 	}

@@ -3,94 +3,29 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dfccl/internal/core"
 	"dfccl/internal/fabric"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
+	"dfccl/internal/trace"
 )
 
-// pbarrier is a poisonable generation barrier (the chaos harness
-// pattern): a member that observes an abort poisons it, releasing every
-// blocked peer with a false return so nobody waits on a rank that will
-// never arrive.
-type pbarrier struct {
-	n, arrived, gen int
-	poisoned        bool
-	cond            *sim.Cond
-}
-
-func newPBarrier(n int) *pbarrier {
-	return &pbarrier{n: n, cond: sim.NewCond("cluster.barrier")}
-}
-
-func (b *pbarrier) Wait(p *sim.Process) bool {
-	if b.poisoned {
-		return false
-	}
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast(p.Engine())
-		return !b.poisoned
-	}
-	for gen == b.gen && !b.poisoned {
-		b.cond.Wait(p)
-	}
-	return !b.poisoned
-}
-
-func (b *pbarrier) Poison(e *sim.Engine) {
-	b.poisoned = true
-	b.cond.Broadcast(e)
-}
-
-// jobState is one job's control-plane record. All access happens from
-// simulated processes, which the engine serializes.
-type jobState struct {
-	spec JobSpec
-	res  *JobResult
-
-	arrived      bool
-	admittedOnce bool
-	attempts     int
-
-	// Per-attempt data-plane state.
-	members    []int
-	barA, barB *pbarrier
-	join       *sim.Cond
-	running    int
-	aborted    bool
-
-	// nextIt persists across attempts: a requeued job resumes from its
-	// first uncommitted iteration, like the chaos restart protocol.
-	nextIt int
-}
-
-// driver is the shared run state.
+// driver is the tenant driver's control-plane state.
 type driver struct {
 	cfg Config
-	e   *sim.Engine
-	sys *core.System
-	net *fabric.Network
+	*plane
 	rep *Report
 
 	machineOf []int
-	pending   []*jobState
+	pending   []*jobRun
 	load      []int
 	active    int // admitted jobs currently holding slots
 	arrivals  int // jobs not yet released by the injector
 	finished  int // jobs done or failed
+	revives   int // revive events not yet fired or still draining
 	wake      *sim.Cond
-	otherErr  error
-}
-
-func (d *driver) fail(err error) {
-	if d.otherErr == nil {
-		d.otherErr = err
-	}
 }
 
 // view assembles the policy's control-plane snapshot.
@@ -104,7 +39,7 @@ func (d *driver) view() View {
 		Slots:     d.cfg.SlotsPerGPU,
 		Lost:      lost,
 		MachineOf: d.machineOf,
-		NICLoad:   d.net.NICLoad(),
+		NICLoad:   d.sys.Network().NICLoad(),
 		Now:       d.e.Now(),
 	}
 }
@@ -113,7 +48,7 @@ func (d *driver) view() View {
 func (d *driver) pendingView() []Pending {
 	out := make([]Pending, len(d.pending))
 	for i, js := range d.pending {
-		out[i] = Pending{Spec: js.spec, Arrived: js.res.Arrival, Requeued: js.attempts > 0}
+		out[i] = Pending{Spec: js.spec, Arrived: js.res.Arrival, Requeued: js.res.Attempts > 0}
 	}
 	return out
 }
@@ -127,9 +62,9 @@ func (d *driver) tryAdmit(p *sim.Process) {
 			d.rep.Rejections++
 			return
 		}
-		if idx < 0 || idx >= len(d.pending) || len(ranks) != d.pending[idx].spec.Size {
-			d.fail(fmt.Errorf("cluster: policy %s returned invalid admission (idx %d, %d ranks for job of size %d)",
-				d.cfg.Policy.Name(), idx, len(ranks), d.pending[idx].spec.Size))
+		if err := d.checkAdmission(idx, ranks); err != nil {
+			d.fail(fmt.Errorf("cluster: policy %s returned invalid admission (idx %d, ranks %v): %v",
+				d.cfg.Policy.Name(), idx, ranks, err))
 			return
 		}
 		js := d.pending[idx]
@@ -138,16 +73,39 @@ func (d *driver) tryAdmit(p *sim.Process) {
 	}
 }
 
+// checkAdmission holds a policy's answer to the contract before the
+// driver acts on it: idx names a pending job, and ranks is a placement
+// of that job's size over distinct, live ranks with a free slot each.
+func (d *driver) checkAdmission(idx int, ranks []int) error {
+	if idx < 0 || idx >= len(d.pending) {
+		return fmt.Errorf("index out of range [0, %d)", len(d.pending))
+	}
+	if size := d.pending[idx].spec.Size; len(ranks) != size {
+		return fmt.Errorf("%d ranks for job of size %d", len(ranks), size)
+	}
+	for i, r := range ranks {
+		switch {
+		case r < 0 || r >= len(d.load):
+			return fmt.Errorf("rank %d out of range [0, %d)", r, len(d.load))
+		case slices.Contains(ranks[:i], r):
+			return fmt.Errorf("rank %d placed twice", r)
+		case d.sys.RankLost(r):
+			return fmt.Errorf("rank %d is lost", r)
+		case d.load[r] >= d.cfg.SlotsPerGPU:
+			return fmt.Errorf("rank %d has no free slot", r)
+		}
+	}
+	return nil
+}
+
 // place starts one admitted job on its placement: slots are taken, the
-// per-member workers spawn, and a monitor process waits for the attempt
-// to finish, releasing the slots and either completing or requeueing
-// the job.
-func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
+// job's attempt spawns its members, and a monitor process waits for
+// the attempt to finish, releasing the slots and either completing or
+// requeueing the job.
+func (d *driver) place(p *sim.Process, js *jobRun, ranks []int) {
 	d.rep.Admissions++
-	js.attempts++
-	js.res.Attempts = js.attempts
-	if !js.admittedOnce {
-		js.admittedOnce = true
+	js.res.Attempts++
+	if js.res.Attempts == 1 {
 		js.res.Admitted = d.e.Now()
 		js.res.Wait = js.res.Admitted.Sub(js.res.Arrival)
 	}
@@ -155,114 +113,76 @@ func (d *driver) place(p *sim.Process, js *jobState, ranks []int) {
 		d.load[r]++
 	}
 	d.active++
-	js.members = append([]int(nil), ranks...)
-	js.res.Ranks = js.members
-	js.aborted = false
-	js.barA, js.barB = newPBarrier(len(ranks)), newPBarrier(len(ranks))
-	js.running = len(ranks)
-	for pos, rank := range ranks {
-		pos, rank := pos, rank
-		d.e.Spawn(fmt.Sprintf("cluster.job%d.w%d", js.spec.ID, rank), func(p *sim.Process) {
-			d.runWorker(p, js, pos, rank)
-			js.running--
-			js.join.Broadcast(p.Engine())
-		})
-	}
+	js.start(d.plane, append([]int(nil), ranks...))
 	d.e.Spawn(fmt.Sprintf("cluster.job%d.monitor", js.spec.ID), func(p *sim.Process) {
-		for js.running > 0 {
-			js.join.Wait(p)
-		}
+		js.await(p)
 		for _, r := range js.members {
 			d.load[r]--
 		}
 		d.active--
 		switch {
-		case js.nextIt >= js.spec.Iterations:
+		case js.res.Committed >= js.spec.Iterations:
 			js.res.Done = d.e.Now()
 			js.res.Latency = js.res.Done.Sub(js.res.Arrival)
 			d.finished++
-		case js.aborted && d.otherErr == nil:
+		case js.aborted && d.err == nil:
 			d.rep.Requeues++
-			if js.attempts >= d.attemptCap() {
+			// The attempt cap turns a requeue livelock into a failure.
+			if js.res.Attempts >= 3+len(d.cfg.Faults) {
 				js.res.Failed = true
 				d.finished++
-				d.fail(fmt.Errorf("cluster: job %d exceeded %d attempts", js.spec.ID, js.attempts))
+				d.fail(fmt.Errorf("cluster: job %d exceeded %d attempts", js.spec.ID, js.res.Attempts))
 			} else {
 				d.pending = append(d.pending, js)
 			}
 		default:
 			js.res.Failed = true
 			d.finished++
-			if d.otherErr == nil {
-				d.fail(fmt.Errorf("cluster: job %d stopped at iteration %d without abort", js.spec.ID, js.nextIt))
-			}
+			d.fail(fmt.Errorf("cluster: job %d stopped at iteration %d without abort", js.spec.ID, js.res.Committed))
 		}
 		d.wake.Broadcast(p.Engine())
 	})
 }
 
-// attemptCap bounds requeues so a livelock becomes a failure.
-func (d *driver) attemptCap() int { return 3 + len(d.cfg.Kills) }
-
-// runWorker is one member's attempt loop, mirroring the chaos worker:
-// open the job's collectives over this placement, run iterations from
-// the job's cursor, verify every element, and commit through the
-// poisonable barriers. A typed core.ErrRankLost aborts the attempt
-// (the job requeues); any other error is fatal to the run.
-func (d *driver) runWorker(p *sim.Process, js *jobState, pos, rank int) {
-	e := p.Engine()
-	w, _ := newJobWorkload(js.spec)
-	rc := d.sys.Init(p, rank)
-	handle := func(err error) {
-		if errors.Is(err, core.ErrRankLost) {
-			js.aborted = true
-			js.barA.Poison(e)
-			js.barB.Poison(e)
-			return
-		}
-		d.fail(err)
-		js.barA.Poison(e)
-		js.barB.Poison(e)
-	}
-	compute := js.spec.Compute
-	if compute <= 0 {
-		compute = 40 * sim.Microsecond
-	}
-	if err := w.setup(p, rc, js.members); err != nil {
-		handle(err)
-	} else {
-		for !js.aborted && d.otherErr == nil && js.nextIt < js.spec.Iterations {
-			it := js.nextIt
-			p.Sleep(compute)
-			hash, err := w.iter(p, rc, js.members, pos, it)
-			if err != nil {
-				handle(err)
-				break
-			}
-			if !js.barA.Wait(p) {
-				break
-			}
-			if pos == 0 {
-				js.res.Trajectory = append(js.res.Trajectory, append([]int(nil), js.members...))
-				js.res.Hashes = append(js.res.Hashes, hash)
-				js.nextIt++
-				js.res.Committed = js.nextIt
-			}
-			if !js.barB.Wait(p) {
-				break
-			}
-		}
-	}
-	// A dead rank's registrations are auto-released by its exiting
-	// poller; live ranks close their handles so the pool recycles the
-	// communicators. The job's own futures were all waited inside
-	// iter, so Close never sees outstanding runs — and unlike the
-	// single-tenant chaos harness there is no WaitAll here: waiting for
-	// the shared rank context to go fully idle would couple this job's
-	// teardown to every other tenant on the GPU.
+// revive is the tenant revive policy: a lost rank is revived as soon
+// as its abort drain completes, which makes it placeable again, and
+// the admission controller re-runs.
+func (d *driver) revive(p *sim.Process, rank int) {
 	if !d.sys.RankLost(rank) {
-		w.teardown(p)
+		d.rep.RevivesSkipped++
+		d.revives--
+		d.wake.Broadcast(p.Engine())
+		return
 	}
+	p.Spawn(fmt.Sprintf("cluster.revive%d", rank), func(p *sim.Process) {
+		if err := d.reviveRank(p, rank); err != nil {
+			d.fail(err)
+		} else {
+			d.rep.RevivesApplied++
+		}
+		d.revives--
+		d.wake.Broadcast(p.Engine())
+	})
+}
+
+// tenantPlane builds the tenant data plane. Transfers are priced on a
+// shared congestion-aware fabric at the given oversubscription, or
+// with the legacy independent pricing when oversub is 0. Daemons are
+// priority-aware, so a high-priority tenant's launches overtake queued
+// low-priority work even on shared GPUs.
+func tenantPlane(cl *topo.Cluster, oversub float64, rec *trace.Recorder) *plane {
+	ccfg := core.DefaultConfig()
+	ccfg.Order = core.OrderPriority
+	if oversub > 0 {
+		ccfg.Network = fabric.Shared(cl, fabric.OversubConfig(oversub))
+	} else {
+		ccfg.Network = fabric.Unshared(cl)
+	}
+	if rec != nil {
+		ccfg.Recorder = rec
+		ccfg.Tracer = rec
+	}
+	return newPlane("cluster", tenantShape, cl, ccfg, false)
 }
 
 // Run executes the cluster scenario and returns its report. The
@@ -270,9 +190,6 @@ func (d *driver) runWorker(p *sim.Process, js *jobState, pos, rank int) {
 func Run(cfg Config) (*Report, error) {
 	if cfg.SlotsPerGPU <= 0 {
 		cfg.SlotsPerGPU = 2
-	}
-	if cfg.MaxVirtual <= 0 {
-		cfg.MaxVirtual = 600 * sim.Second
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = FIFO{}
@@ -283,31 +200,9 @@ func Run(cfg Config) (*Report, error) {
 		return rep, err
 	}
 
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(cfg.MaxVirtual)
-	var net *fabric.Network
-	if cfg.Oversub > 0 {
-		net = fabric.Shared(cfg.Cluster, fabric.OversubConfig(cfg.Oversub))
-	} else {
-		net = fabric.Unshared(cfg.Cluster)
-	}
-	ccfg := core.DefaultConfig()
-	// Multi-tenant daemons are priority-aware: the per-GPU task queue
-	// orders by the jobs' priorities, so a high-priority tenant's
-	// launches overtake queued low-priority work even on shared GPUs.
-	ccfg.Order = core.OrderPriority
-	ccfg.Network = net
-	if cfg.Recorder != nil {
-		ccfg.Recorder = cfg.Recorder
-		ccfg.Tracer = cfg.Recorder
-	}
-	sys := core.NewSystem(e, cfg.Cluster, ccfg)
-
 	d := &driver{
 		cfg:      cfg,
-		e:        e,
-		sys:      sys,
-		net:      net,
+		plane:    tenantPlane(cfg.Cluster, cfg.Oversub, cfg.Recorder),
 		rep:      rep,
 		load:     make([]int, cfg.Cluster.Size()),
 		arrivals: len(cfg.Jobs),
@@ -317,26 +212,26 @@ func Run(cfg Config) (*Report, error) {
 	for r, g := range cfg.Cluster.GPUs {
 		d.machineOf[r] = g.Machine
 	}
-	states := make([]*jobState, len(cfg.Jobs))
+	states := make([]*jobRun, len(cfg.Jobs))
 	for i := range cfg.Jobs {
 		rep.Jobs[i] = JobResult{Spec: cfg.Jobs[i]}
-		states[i] = &jobState{
-			spec: cfg.Jobs[i],
-			res:  &rep.Jobs[i],
-			join: sim.NewCond("cluster.join"),
+		states[i] = newJobRun(d.plane, cfg.Jobs[i], &rep.Jobs[i])
+	}
+	for _, ev := range cfg.Faults {
+		if ev.Kind == Revive {
+			d.revives++
 		}
 	}
 
 	// Control plane, part 1: the arrival injector releases jobs into
 	// the pending queue at their trace times.
 	order := byArrival(cfg.Jobs)
-	e.Spawn("cluster.arrivals", func(p *sim.Process) {
+	d.e.Spawn("cluster.arrivals", func(p *sim.Process) {
 		for _, i := range order {
 			js := states[i]
 			if dl := js.spec.Arrival - p.Now().Sub(sim.Time(0)); dl > 0 {
 				p.Sleep(dl)
 			}
-			js.arrived = true
 			js.res.Arrival = p.Now()
 			d.pending = append(d.pending, js)
 			d.arrivals--
@@ -344,40 +239,22 @@ func Run(cfg Config) (*Report, error) {
 		}
 	})
 
-	// Fault injector: kills land at their virtual times, independent of
-	// admission structure, so they hit jobs mid-collective and races
-	// with in-flight admissions.
-	if len(cfg.Kills) > 0 {
-		e.Spawn("cluster.kills", func(p *sim.Process) {
-			for _, ev := range cfg.Kills {
-				if dl := ev.At - p.Now().Sub(sim.Time(0)); dl > 0 {
-					p.Sleep(dl)
-				}
-				if sys.RankLost(ev.Rank) {
-					rep.KillsSkipped++
-					continue
-				}
-				sys.KillRank(ev.Rank)
-				if sys.RankLost(ev.Rank) {
-					rep.KillsApplied++
-				} else {
-					rep.KillsSkipped++ // never-initialized rank: no-op
-				}
-			}
-		})
+	if len(cfg.Faults) > 0 {
+		d.inject(cfg.Faults, &rep.FaultCounts, d.revive)
 	}
 
 	// Control plane, part 2: the admission controller re-runs the
-	// policy on every arrival, completion, or requeue.
-	e.Spawn("cluster.admission", func(p *sim.Process) {
+	// policy on every arrival, completion, requeue, or revive.
+	d.e.Spawn("cluster.admission", func(p *sim.Process) {
 		for {
-			if d.otherErr == nil {
+			if d.err == nil {
 				d.tryAdmit(p)
 			}
-			if d.active == 0 && len(d.pending) > 0 && d.arrivals == 0 {
-				// Nothing running, nothing arriving, nothing placeable:
-				// the remaining queue can never be served (e.g. kills
-				// shrank the cluster below the head job's size).
+			if d.active == 0 && len(d.pending) > 0 && d.arrivals == 0 && d.revives == 0 {
+				// Nothing running, arriving, or reviving, nothing
+				// placeable: the remaining queue can never be served
+				// (e.g. kills shrank the cluster below the head job's
+				// size).
 				for _, js := range d.pending {
 					js.res.Failed = true
 					d.finished++
@@ -385,51 +262,24 @@ func Run(cfg Config) (*Report, error) {
 				d.pending = nil
 				d.fail(errors.New("cluster: pending jobs can never be placed"))
 			}
-			if d.active == 0 && (d.finished >= len(cfg.Jobs) || (d.otherErr != nil && d.arrivals == 0)) {
+			if d.active == 0 && (d.finished >= len(cfg.Jobs) || (d.err != nil && d.arrivals == 0)) {
 				break
 			}
 			d.wake.Wait(p)
 		}
-		// Final teardown: destroy every surviving context so the
-		// pollers exit and the engine drains — the no-leak guarantee.
-		for r := 0; r < cfg.Cluster.Size(); r++ {
-			if !sys.RankLost(r) {
-				sys.Init(p, r).Destroy(p)
-			}
+		all := make([]int, cfg.Cluster.Size())
+		for r := range all {
+			all[r] = r
 		}
+		d.destroy(p, all)
 	})
 
-	if err := e.Run(); err != nil {
-		rep.Hang = true
-		if rep.Err == "" {
-			rep.Err = fmt.Sprintf("cluster: %v (blocked: %v)", err, e.BlockedProcesses())
-		}
-	}
-	rep.Elapsed = e.Now().Sub(sim.Time(0))
-	rep.PoolCreated = sys.CommsCreated()
-	rep.PoolReused = sys.CommsReused()
-	rep.JobBytes = net.JobBytes()
-	if d.otherErr != nil && rep.Err == "" {
-		rep.Err = d.otherErr.Error()
-	}
-
-	// Solo reference, computed outside the simulation: every committed
-	// iteration's fingerprint must equal the job running alone over the
-	// membership that committed it.
+	d.run(&rep.Outcome)
+	rep.PoolCreated = d.sys.CommsCreated()
+	rep.PoolReused = d.sys.CommsReused()
+	rep.JobBytes = d.sys.Network().JobBytes()
 	for i := range rep.Jobs {
-		j := &rep.Jobs[i]
-		w, err := newJobWorkload(j.Spec)
-		if err != nil {
-			continue
-		}
-		j.BitIdentical = j.Committed == j.Spec.Iterations && len(j.Hashes) == j.Committed
-		for it, members := range j.Trajectory {
-			ref := w.refHash(members, it)
-			j.RefHashes = append(j.RefHashes, ref)
-			if it >= len(j.Hashes) || j.Hashes[it] != ref {
-				j.BitIdentical = false
-			}
-		}
+		rep.Jobs[i].verify(d.shape)
 	}
 	if !rep.Ok() {
 		if rep.Err == "" {
@@ -446,74 +296,23 @@ func Run(cfg Config) (*Report, error) {
 // against (the out-of-sim refHash is the pure counterpart). It is only
 // meaningful for jobs whose committed trajectory kept one membership.
 func SoloHashes(cl *topo.Cluster, spec JobSpec, ranks []int, oversub float64) ([]uint64, error) {
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	var net *fabric.Network
-	if oversub > 0 {
-		net = fabric.Shared(cl, fabric.OversubConfig(oversub))
-	} else {
-		net = fabric.Unshared(cl)
+	if _, err := newJobWorkload(spec, tenantShape); err != nil {
+		return nil, err
 	}
-	ccfg := core.DefaultConfig()
-	ccfg.Order = core.OrderPriority
-	ccfg.Network = net
-	sys := core.NewSystem(e, cl, ccfg)
-
-	hashes := make([]uint64, 0, spec.Iterations)
-	var firstErr error
-	bar := newPBarrier(len(ranks))
-	compute := spec.Compute
-	if compute <= 0 {
-		compute = 40 * sim.Microsecond
+	pl := tenantPlane(cl, oversub, nil)
+	j := newJobRun(pl, spec, &JobResult{Spec: spec})
+	pl.e.Spawn(fmt.Sprintf("solo.job%d", spec.ID), func(p *sim.Process) {
+		j.start(pl, ranks)
+		j.await(p)
+		pl.destroy(p, ranks)
+	})
+	var o Outcome
+	pl.run(&o)
+	switch {
+	case o.Err != "":
+		return j.res.Hashes, fmt.Errorf("cluster: solo run: %s", o.Err)
+	case j.aborted:
+		return j.res.Hashes, fmt.Errorf("cluster: solo run of job %d aborted", spec.ID)
 	}
-	running := len(ranks)
-	for pos, rank := range ranks {
-		pos, rank := pos, rank
-		e.Spawn(fmt.Sprintf("solo.job%d.w%d", spec.ID, rank), func(p *sim.Process) {
-			w, err := newJobWorkload(spec)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				bar.Poison(e)
-				return
-			}
-			rc := sys.Init(p, rank)
-			if err := w.setup(p, rc, ranks); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				bar.Poison(e)
-			} else {
-				for it := 0; it < spec.Iterations; it++ {
-					p.Sleep(compute)
-					hash, err := w.iter(p, rc, ranks, pos, it)
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						bar.Poison(e)
-						break
-					}
-					if !bar.Wait(p) {
-						break
-					}
-					if pos == 0 {
-						hashes = append(hashes, hash)
-					}
-				}
-				w.teardown(p)
-			}
-			running--
-			if running == 0 {
-				for _, r := range ranks {
-					sys.Init(p, r).Destroy(p)
-				}
-			}
-		})
-	}
-	if err := e.Run(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("cluster: solo run: %v", err)
-	}
-	return hashes, firstErr
+	return j.res.Hashes, nil
 }

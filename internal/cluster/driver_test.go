@@ -78,10 +78,11 @@ func TestClusterProperty(t *testing.T) {
 			// Half the cases inject a kill. At most one rank dies, so
 			// the 7 survivors always fit the largest (size-4) job and
 			// every requeue can be re-placed.
-			var kills []KillEvent
+			var kills []Event
 			if rng.Intn(2) == 0 {
-				kills = append(kills, KillEvent{
+				kills = append(kills, Event{
 					At:   sim.Duration(rng.Intn(3000)+50) * sim.Microsecond,
+					Kind: Kill,
 					Rank: rng.Intn(cl.Size()),
 				})
 			}
@@ -89,7 +90,7 @@ func TestClusterProperty(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			rep, err := Run(Config{
 				Cluster: cl, Jobs: jobs, Policy: pol,
-				Oversub: oversub, Kills: kills,
+				Oversub: oversub, Faults: kills,
 			})
 			if err != nil {
 				t.Fatalf("policy %s kills %v: %v (hang=%v blocked err=%q)",

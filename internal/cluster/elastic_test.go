@@ -1,4 +1,4 @@
-package chaos
+package cluster
 
 import (
 	"fmt"
@@ -17,7 +17,7 @@ func TestChaosFaultFree(t *testing.T) {
 	for _, wl := range []string{"dp", "moe", "zero"} {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
-			rep, err := Run(Config{
+			rep, err := RunElastic(ElasticConfig{
 				Workload:   wl,
 				Cluster:    topo.Server3090(4),
 				Ranks:      []int{0, 1, 2, 3},
@@ -45,13 +45,13 @@ func TestChaosKillMidRun(t *testing.T) {
 	for _, wl := range []string{"dp", "moe", "zero"} {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
-			rep, err := Run(Config{
+			rep, err := RunElastic(ElasticConfig{
 				Workload:   wl,
 				Cluster:    topo.Server3090(4),
 				Ranks:      []int{0, 1, 2, 3},
 				Iterations: 4,
 				Algo:       prim.AlgoRing,
-				Schedule:   Schedule{{At: 500 * sim.Microsecond, Kind: Kill, Rank: 2}},
+				Faults:     []Event{{At: 500 * sim.Microsecond, Kind: Kill, Rank: 2}},
 			})
 			if err != nil {
 				t.Fatalf("Run: %v (report %+v)", err, rep)
@@ -78,13 +78,13 @@ func TestChaosKillMidRun(t *testing.T) {
 // (via the runtime count gather) must survive both membership changes,
 // and the revived rank must rejoin the committed trajectory.
 func TestChaosKillReviveHier(t *testing.T) {
-	rep, err := Run(Config{
+	rep, err := RunElastic(ElasticConfig{
 		Workload:   "moe",
 		Cluster:    topo.MultiNode3090(2),
 		Ranks:      []int{0, 1, 8, 9},
 		Iterations: 6,
 		Algo:       prim.AlgoHierarchical,
-		Schedule: Schedule{
+		Faults: []Event{
 			{At: 200 * sim.Microsecond, Kind: Kill, Rank: 9},
 			{At: 500 * sim.Microsecond, Kind: Revive, Rank: 9},
 		},
@@ -143,7 +143,7 @@ func TestChaosProperty(t *testing.T) {
 		}
 		ranks := append([]int(nil), rng.Perm(total)[:n]...)
 		iters := 2 + rng.Intn(3)
-		var schedule Schedule
+		var schedule []Event
 		maxKills := n - 1
 		if maxKills > 2 {
 			maxKills = 2
@@ -162,16 +162,16 @@ func TestChaosProperty(t *testing.T) {
 				schedule = append(schedule, Event{At: rev, Kind: Revive, Rank: ranks[v]})
 			}
 		}
-		cfg := Config{
+		cfg := ElasticConfig{
 			Workload:   workloads[rng.Intn(len(workloads))],
 			Cluster:    cluster,
 			Ranks:      ranks,
 			Iterations: iters,
 			Algo:       algos[rng.Intn(len(algos))],
-			Schedule:   schedule,
+			Faults:     schedule,
 		}
 		name := fmt.Sprintf("trial%d-%s-%s-m%d-g%d-n%d-k%d", trial, cfg.Workload, cfg.Algo, machines, perNode, n, kills)
-		rep, err := Run(cfg)
+		rep, err := RunElastic(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v (report %+v, schedule %+v)", name, err, rep, schedule)
 		}

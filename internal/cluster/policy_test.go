@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dfccl/internal/sim"
@@ -194,7 +195,7 @@ func TestKillDuringAdmission(t *testing.T) {
 	jobs := []JobSpec{{ID: 1, Kind: "dp", Size: 2, Iterations: 3, Arrival: 0, Compute: 20 * sim.Microsecond}}
 	rep, err := Run(Config{
 		Cluster: cl, Jobs: jobs, Policy: FIFO{}, SlotsPerGPU: 2,
-		Kills: []KillEvent{{At: 30 * sim.Microsecond, Rank: 0}},
+		Faults: []Event{{At: 30 * sim.Microsecond, Kind: Kill, Rank: 0}},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v (err=%q hang=%v)", err, rep.Err, rep.Hang)
@@ -229,7 +230,7 @@ func TestKillNeverInitedRank(t *testing.T) {
 	rep, err := Run(Config{
 		Cluster: cl, Jobs: jobs, Policy: FIFO{}, SlotsPerGPU: 2,
 		// Fires before any worker has touched rank 3.
-		Kills: []KillEvent{{At: sim.Microsecond, Rank: 3}},
+		Faults: []Event{{At: sim.Microsecond, Kind: Kill, Rank: 3}},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -254,7 +255,7 @@ func TestUnplaceablePendingFails(t *testing.T) {
 	rep, err := Run(Config{
 		Cluster: cl, Jobs: jobs, Policy: FIFO{},
 		// Rank 1 dies between the jobs: job 2 can never get 2 ranks.
-		Kills: []KillEvent{{At: 300 * sim.Microsecond, Rank: 1}},
+		Faults: []Event{{At: 300 * sim.Microsecond, Kind: Kill, Rank: 1}},
 	})
 	if err == nil {
 		t.Fatal("Run succeeded with an unplaceable job")
@@ -264,5 +265,97 @@ func TestUnplaceablePendingFails(t *testing.T) {
 	}
 	if !rep.Jobs[1].Failed {
 		t.Error("stranded job 2 not marked failed")
+	}
+}
+
+// TestFaultsFireInTimeOrder: the injector sorts the fault script by
+// time, so a script listed out of order yields the same run as the
+// sorted one — the early kill is not held back behind a later one.
+func TestFaultsFireInTimeOrder(t *testing.T) {
+	cl := topo.MultiNode3090(2)
+	jobs := []JobSpec{{ID: 1, Kind: "dp", Size: 2, Iterations: 3, Compute: 20 * sim.Microsecond}}
+	run := func(faults []Event) *Report {
+		t.Helper()
+		rep, err := Run(Config{Cluster: cl, Jobs: jobs, Policy: FIFO{}, Oversub: 4, Faults: faults})
+		if err != nil {
+			t.Fatalf("faults %v: %v", faults, err)
+		}
+		return rep
+	}
+	sorted := run([]Event{{At: 30 * sim.Microsecond, Kind: Kill, Rank: 0}, {At: 2000 * sim.Microsecond, Kind: Kill, Rank: 5}})
+	permuted := run([]Event{{At: 2000 * sim.Microsecond, Kind: Kill, Rank: 5}, {At: 30 * sim.Microsecond, Kind: Kill, Rank: 0}})
+	if sorted.Requeues == 0 {
+		t.Fatalf("the 30µs kill never hit the job: %+v", sorted)
+	}
+	if !reflect.DeepEqual(sorted, permuted) {
+		t.Fatalf("permuted fault script changed the run:\nsorted   %+v\npermuted %+v", sorted, permuted)
+	}
+}
+
+// TestReviveMakesRankPlaceable: on a two-GPU cluster a kill leaves the
+// second job unplaceable until a revive returns the rank; the admission
+// controller must wait for the revive instead of failing the job, then
+// place it on the revived rank.
+func TestReviveMakesRankPlaceable(t *testing.T) {
+	cl := topo.Server3090(2)
+	jobs := []JobSpec{
+		{ID: 1, Kind: "dp", Size: 2, Iterations: 1, Arrival: 0},
+		{ID: 2, Kind: "dp", Size: 2, Iterations: 1, Arrival: 400 * sim.Microsecond},
+	}
+	rep, err := Run(Config{
+		Cluster: cl, Jobs: jobs, Policy: FIFO{},
+		Faults: []Event{
+			{At: 300 * sim.Microsecond, Kind: Kill, Rank: 1},
+			{At: 600 * sim.Microsecond, Kind: Revive, Rank: 1},
+			{At: 700 * sim.Microsecond, Kind: Revive, Rank: 0}, // alive: skipped
+		},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v (hang=%v)", err, rep.Hang)
+	}
+	if rep.KillsApplied != 1 || rep.RevivesApplied != 1 || rep.RevivesSkipped != 1 {
+		t.Fatalf("fault counts %+v, want 1 kill, 1 revive applied, 1 skipped", rep.FaultCounts)
+	}
+	if j := rep.Jobs[1]; !reflect.DeepEqual(j.Ranks, []int{0, 1}) || j.Admitted < sim.Time(600*sim.Microsecond) {
+		t.Fatalf("job 2 placed on %v at %v, want [0 1] after the revive", j.Ranks, j.Admitted)
+	}
+}
+
+// badPolicy answers Admit with a fixed, out-of-contract placement.
+type badPolicy struct {
+	name  string
+	idx   int
+	ranks []int
+}
+
+func (b badPolicy) Name() string { return b.name }
+func (b badPolicy) Admit([]Pending, View) (int, []int, bool) {
+	return b.idx, b.ranks, true
+}
+
+// TestInvalidAdmissionFails: a policy that breaks the Admit contract
+// fails the run with an error naming the policy — never a panic in the
+// admission process, never a hang.
+func TestInvalidAdmissionFails(t *testing.T) {
+	cl := topo.Server3090(4)
+	jobs := []JobSpec{{ID: 1, Kind: "dp", Size: 2, Iterations: 1}}
+	for _, pol := range []badPolicy{
+		{name: "bad-index", idx: 5, ranks: []int{0, 1}},
+		{name: "bad-size", idx: 0, ranks: []int{0}},
+		{name: "bad-rank", idx: 0, ranks: []int{0, 99}},
+		{name: "dup-rank", idx: 0, ranks: []int{1, 1}},
+	} {
+		t.Run(pol.name, func(t *testing.T) {
+			rep, err := Run(Config{Cluster: cl, Jobs: jobs, Policy: pol})
+			if err == nil {
+				t.Fatal("Run accepted an invalid admission")
+			}
+			if rep.Hang {
+				t.Fatalf("run hung: %q", rep.Err)
+			}
+			if want := "policy " + pol.name + " returned invalid admission"; !strings.Contains(rep.Err, want) {
+				t.Fatalf("error %q does not contain %q", rep.Err, want)
+			}
+		})
 	}
 }

@@ -10,16 +10,17 @@ import (
 	"dfccl/internal/sim"
 )
 
-// jobWorkload is one member's view of a tenant job's training loop,
-// mirroring the chaos harness contract: setup opens the job's
-// persistent collectives over the placement, iter runs one stateless
-// iteration (launch, wait, verify every element) returning the FNV-1a
-// fingerprint of this member's verified outputs, and refHash computes
-// — without any simulation — the fingerprint the lead (pos 0) member
-// must produce: the solo reference. Every payload mixes the job ID in,
-// so two tenants never carry the same data and cross-tenant leakage
-// cannot cancel out in a hash. All payloads are small integers in
-// float64, making reductions order-independent and bit-exact.
+// jobWorkload is one member's view of a job's training loop: setup
+// opens the job's persistent collectives over the attempt's members,
+// iter runs one stateless iteration (launch, wait, verify every
+// element) returning the FNV-1a fingerprint of this member's verified
+// outputs, and refHash computes — without any simulation — the
+// fingerprint the lead (pos 0) member must produce: the solo
+// reference. Iterations are pure functions of (members, iteration), so
+// retrying one after an abort is idempotent. Every payload mixes the
+// job ID in, so two tenants never carry the same data and cross-tenant
+// leakage cannot cancel out in a hash. All payloads are small integers
+// in float64, making reductions order-independent and bit-exact.
 type jobWorkload interface {
 	setup(p *sim.Process, rc *core.RankContext, members []int) error
 	iter(p *sim.Process, rc *core.RankContext, members []int, pos, it int) (uint64, error)
@@ -27,21 +28,50 @@ type jobWorkload interface {
 	teardown(p *sim.Process)
 }
 
-// newJobWorkload builds the job's workload; it validates Kind.
-func newJobWorkload(spec JobSpec) (jobWorkload, error) {
+// shape is one driver's workload sizes. Sizes set virtual time, so
+// each driver keeps its own: the elastic runs keep the larger payloads
+// their committed fault-scenario timelines were measured at, the tenant
+// jobs smaller ones so a many-job trace fits a test budget. A shape is
+// data, never a setting.
+type shape struct {
+	// DP layer l has dpBase + dpStep*l elements.
+	dpBase, dpStep int
+	// MoE routing: rank src sends (j*5 + src*3 + dst*tokDst + it*tokIt)
+	// % tokMod tokens to the expert on rank dst at iteration it of job j.
+	tokDst, tokIt, tokMod int
+	// shardElems is the ZeRO per-member parameter shard size.
+	shardElems int
+}
+
+var (
+	tenantShape  = &shape{dpBase: 6, dpStep: 2, tokDst: 7, tokIt: 11, tokMod: 3, shardElems: 3}
+	elasticShape = &shape{dpBase: 8, dpStep: 4, tokDst: 5, tokIt: 7, tokMod: 4, shardElems: 4}
+)
+
+func (s shape) layerCount(l int) int { return s.dpBase + s.dpStep*l }
+
+// tokens is the number of tokens rank src routes to the expert on rank
+// dst at an iteration of job j.
+func (s shape) tokens(j, src, dst, it int) int {
+	return (j*5 + src*3 + dst*s.tokDst + it*s.tokIt) % s.tokMod
+}
+
+// newJobWorkload builds the job's workload at the given shape; it
+// validates Kind.
+func newJobWorkload(spec JobSpec, sh *shape) (jobWorkload, error) {
 	layers := spec.Layers
 	if layers <= 0 {
 		layers = 2
 	}
 	switch spec.Kind {
 	case "dp":
-		return &cjDP{job: spec, layers: layers}, nil
+		return &cjDP{job: spec, sh: sh, layers: layers}, nil
 	case "moe":
-		return &cjMoE{job: spec}, nil
+		return &cjMoE{job: spec, sh: sh}, nil
 	case "zero":
-		return &cjZeRO{job: spec}, nil
+		return &cjZeRO{job: spec, sh: sh}, nil
 	case "hybrid":
-		return &cjHybrid{dp: cjDP{job: spec, layers: layers}, moe: cjMoE{job: spec}}, nil
+		return &cjHybrid{dp: cjDP{job: spec, sh: sh, layers: layers}, moe: cjMoE{job: spec, sh: sh}}, nil
 	default:
 		return nil, fmt.Errorf("cluster: job %d has unknown kind %q", spec.ID, spec.Kind)
 	}
@@ -93,10 +123,9 @@ func cjGrad(j, r, l, it, i int) float64 {
 	return float64((j*13+r*7+l*5+it*3+i)%9 - 4)
 }
 
-func cjLayerCount(l int) int { return 6 + 2*l }
-
 type cjDP struct {
 	job     JobSpec
+	sh      *shape
 	layers  int
 	handles []*core.Collective
 	sends   []*mem.Buffer
@@ -105,7 +134,7 @@ type cjDP struct {
 
 func (w *cjDP) setup(p *sim.Process, rc *core.RankContext, members []int) error {
 	for l := 0; l < w.layers; l++ {
-		count := cjLayerCount(l)
+		count := w.sh.layerCount(l)
 		spec := prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: members, Algo: w.job.Algo}
 		h, err := rc.Open(spec, jobOpts(w.job, collBase(w.job)+l)...)
 		if err != nil {
@@ -163,7 +192,7 @@ func (w *cjDP) iter(p *sim.Process, rc *core.RankContext, members []int, pos, it
 func (w *cjDP) refHash(members []int, it int) uint64 {
 	h := uint64(fnvOffset)
 	for l := 0; l < w.layers; l++ {
-		for i := 0; i < cjLayerCount(l); i++ {
+		for i := 0; i < w.sh.layerCount(l); i++ {
 			sum := 0.0
 			for _, m := range members {
 				sum += cjGrad(w.job.ID, m, l, it, i)
@@ -183,12 +212,6 @@ func (w *cjDP) teardown(p *sim.Process) {
 
 // ---- MoE token dispatch with runtime count gather ----
 
-// cjTokens is the number of tokens rank src routes to the expert on
-// rank dst at an iteration of job j.
-func cjTokens(j, src, dst, it int) int {
-	return (j*5 + src*3 + dst*7 + it*11) % 3
-}
-
 // cjElemsPerTok is the per-token payload in float64 elements.
 const cjElemsPerTok = 2
 
@@ -199,6 +222,7 @@ func cjElem(j, src, dst, it, k int) float64 {
 
 type cjMoE struct {
 	job        JobSpec
+	sh         *shape
 	counts     *core.Collective
 	countsSend *mem.Buffer
 	countsRecv *mem.Buffer
@@ -223,7 +247,7 @@ func (w *cjMoE) iter(p *sim.Process, rc *core.RankContext, members []int, pos, i
 	// Phase 1: all-gather the routing count matrix; each member
 	// contributes only its own row.
 	for j := 0; j < n; j++ {
-		w.countsSend.SetFloat64(j, float64(cjTokens(w.job.ID, rank, members[j], it)))
+		w.countsSend.SetFloat64(j, float64(w.sh.tokens(w.job.ID, rank, members[j], it)))
 	}
 	fut, err := w.counts.Launch(p, w.countsSend, w.countsRecv)
 	if err != nil {
@@ -237,7 +261,7 @@ func (w *cjMoE) iter(p *sim.Process, rc *core.RankContext, members []int, pos, i
 		counts[i] = make([]int, n)
 		for j := 0; j < n; j++ {
 			toks := int(w.countsRecv.Float64At(i*n + j))
-			if want := cjTokens(w.job.ID, members[i], members[j], it); toks != want {
+			if want := w.sh.tokens(w.job.ID, members[i], members[j], it); toks != want {
 				return 0, fmt.Errorf("cluster: job %d moe gathered count[%d][%d] = %d, want %d (members %v it %d)", w.job.ID, i, j, toks, want, members, it)
 			}
 			counts[i][j] = toks * cjElemsPerTok
@@ -290,7 +314,7 @@ func (w *cjMoE) refHash(members []int, it int) uint64 {
 	h := uint64(fnvOffset)
 	lead := members[0]
 	for _, src := range members {
-		toks := cjTokens(w.job.ID, src, lead, it)
+		toks := w.sh.tokens(w.job.ID, src, lead, it)
 		for k := 0; k < toks*cjElemsPerTok; k++ {
 			h = fnvAdd(h, cjElem(w.job.ID, src, lead, it, k))
 		}
@@ -307,9 +331,6 @@ func (w *cjMoE) teardown(p *sim.Process) {
 
 // ---- ZeRO-style sharded exchange: ReduceScatter + AllGather ----
 
-// cjShardElems is the per-member parameter shard size.
-const cjShardElems = 3
-
 // cjZGrad is rank r's local gradient for element i of job j's full
 // vector.
 func cjZGrad(j, r, it, i int) float64 { return float64((j*17+r*5+it*3+i)%7 - 3) }
@@ -320,6 +341,7 @@ func cjZShard(j, r, it, i int) float64 { return float64((j*19+r*11+it*2+i)%13 - 
 
 type cjZeRO struct {
 	job            JobSpec
+	sh             *shape
 	rs, ag         *core.Collective
 	rsSend, rsRecv *mem.Buffer
 	agSend, agRecv *mem.Buffer
@@ -327,13 +349,13 @@ type cjZeRO struct {
 
 func (w *cjZeRO) setup(p *sim.Process, rc *core.RankContext, members []int) error {
 	n := len(members)
-	full := cjShardElems * n
+	full := w.sh.shardElems * n
 	rs, err := rc.Open(prim.Spec{Kind: prim.ReduceScatter, Count: full, Type: mem.Float64, Op: mem.Sum, Ranks: members, Algo: w.job.Algo},
 		jobOpts(w.job, collBase(w.job))...)
 	if err != nil {
 		return err
 	}
-	ag, err := rc.Open(prim.Spec{Kind: prim.AllGather, Count: cjShardElems, Type: mem.Float64, Ranks: members, Algo: w.job.Algo},
+	ag, err := rc.Open(prim.Spec{Kind: prim.AllGather, Count: w.sh.shardElems, Type: mem.Float64, Ranks: members, Algo: w.job.Algo},
 		jobOpts(w.job, collBase(w.job)+1)...)
 	if err != nil {
 		rs.Close(p)
@@ -341,8 +363,8 @@ func (w *cjZeRO) setup(p *sim.Process, rc *core.RankContext, members []int) erro
 	}
 	w.rs, w.ag = rs, ag
 	w.rsSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, full)
-	w.rsRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, cjShardElems)
-	w.agSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, cjShardElems)
+	w.rsRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, w.sh.shardElems)
+	w.agSend = mem.NewBuffer(mem.DeviceSpace, mem.Float64, w.sh.shardElems)
 	w.agRecv = mem.NewBuffer(mem.DeviceSpace, mem.Float64, full)
 	return nil
 }
@@ -352,7 +374,7 @@ func (w *cjZeRO) iter(p *sim.Process, rc *core.RankContext, members []int, pos, 
 	for i := 0; i < w.rsSend.Len(); i++ {
 		w.rsSend.SetFloat64(i, cjZGrad(w.job.ID, rank, it, i))
 	}
-	for i := 0; i < cjShardElems; i++ {
+	for i := 0; i < w.sh.shardElems; i++ {
 		w.agSend.SetFloat64(i, cjZShard(w.job.ID, rank, it, i))
 	}
 	futRS, err := w.rs.Launch(p, w.rsSend, w.rsRecv)
@@ -372,10 +394,10 @@ func (w *cjZeRO) iter(p *sim.Process, rc *core.RankContext, members []int, pos, 
 		return 0, errAG
 	}
 	h := uint64(fnvOffset)
-	for i := 0; i < cjShardElems; i++ {
+	for i := 0; i < w.sh.shardElems; i++ {
 		want := 0.0
 		for _, m := range members {
-			want += cjZGrad(w.job.ID, m, it, pos*cjShardElems+i)
+			want += cjZGrad(w.job.ID, m, it, pos*w.sh.shardElems+i)
 		}
 		got := w.rsRecv.Float64At(i)
 		if got != want {
@@ -384,8 +406,8 @@ func (w *cjZeRO) iter(p *sim.Process, rc *core.RankContext, members []int, pos, 
 		h = fnvAdd(h, got)
 	}
 	for j := range members {
-		for i := 0; i < cjShardElems; i++ {
-			got := w.agRecv.Float64At(j*cjShardElems + i)
+		for i := 0; i < w.sh.shardElems; i++ {
+			got := w.agRecv.Float64At(j*w.sh.shardElems + i)
 			if want := cjZShard(w.job.ID, members[j], it, i); got != want {
 				return 0, fmt.Errorf("cluster: job %d zero gathered shard %d elem %d = %v, want %v (rank %d it %d)", w.job.ID, j, i, got, want, rank, it)
 			}
@@ -397,7 +419,7 @@ func (w *cjZeRO) iter(p *sim.Process, rc *core.RankContext, members []int, pos, 
 
 func (w *cjZeRO) refHash(members []int, it int) uint64 {
 	h := uint64(fnvOffset)
-	for i := 0; i < cjShardElems; i++ {
+	for i := 0; i < w.sh.shardElems; i++ {
 		sum := 0.0
 		for _, m := range members {
 			sum += cjZGrad(w.job.ID, m, it, i) // pos 0's shard starts at offset 0
@@ -405,7 +427,7 @@ func (w *cjZeRO) refHash(members []int, it int) uint64 {
 		h = fnvAdd(h, sum)
 	}
 	for _, m := range members {
-		for i := 0; i < cjShardElems; i++ {
+		for i := 0; i < w.sh.shardElems; i++ {
 			h = fnvAdd(h, cjZShard(w.job.ID, m, it, i))
 		}
 	}

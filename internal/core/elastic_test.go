@@ -230,7 +230,7 @@ func runHierOnce(t *testing.T, sys *System, ranks []int, count int, tag string) 
 	t.Helper()
 	e := sys.Engine
 	splits := make([]prim.TransportBytes, len(ranks))
-	bar := newTestBarrier(len(ranks))
+	bar := sim.NewBarrier("test.barrier", len(ranks))
 	for pos, rank := range ranks {
 		pos, rank := pos, rank
 		e.Spawn(tag, func(p *sim.Process) {
@@ -289,8 +289,8 @@ func TestPoolReformationRegression(t *testing.T) {
 	// long-lived process looping over cycles, and a coordinator revives
 	// the victim between cycles. Two barriers per cycle (5 parties: the
 	// 4 rank processes + the coordinator) fence the revive.
-	endWork := newTestBarrier(len(full) + 1)
-	revived := newTestBarrier(len(full) + 1)
+	endWork := sim.NewBarrier("test.barrier", len(full)+1)
+	revived := sim.NewBarrier("test.barrier", len(full)+1)
 	reformedSplits := make([]prim.TransportBytes, len(survivors))
 	for _, rank := range full {
 		rank := rank

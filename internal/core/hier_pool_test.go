@@ -24,7 +24,7 @@ func runHierPermuted(t *testing.T, prime string, order []int, counts [][]int) (p
 	cluster := topo.NewCluster(2, 2, topo.RTX3090, topo.DefaultLinks)
 	sys := NewSystem(e, cluster, DefaultConfig())
 	n := len(order)
-	bar := newTestBarrier(n)
+	bar := sim.NewBarrier("test.barrier", n)
 	var wire prim.TransportBytes
 	for pos := 0; pos < n; pos++ {
 		pos := pos

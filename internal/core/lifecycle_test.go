@@ -11,31 +11,6 @@ import (
 	"dfccl/internal/topo"
 )
 
-// testBarrier synchronizes n simulated processes (local copy of the
-// bench harness barrier; core cannot import bench).
-type testBarrier struct {
-	n, arrived, gen int
-	cond            *sim.Cond
-}
-
-func newTestBarrier(n int) *testBarrier {
-	return &testBarrier{n: n, cond: sim.NewCond("test.barrier")}
-}
-
-func (b *testBarrier) Wait(p *sim.Process) {
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast(p.Engine())
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait(p)
-	}
-}
-
 func lifecycleSpec(count int, ranks []int) prim.Spec {
 	return prim.Spec{Kind: prim.AllReduce, Count: count, Type: mem.Float64, Op: mem.Sum, Ranks: ranks}
 }
@@ -49,7 +24,7 @@ func TestCommPoolReuse(t *testing.T) {
 	e.MaxTime = sim.Time(120 * sim.Second)
 	sys := NewSystem(e, topo.Server3090(n), DefaultConfig())
 	ranks := []int{0, 1}
-	bar := newTestBarrier(n)
+	bar := sim.NewBarrier("test.barrier", n)
 	for rank := 0; rank < n; rank++ {
 		rank := rank
 		e.Spawn("churn", func(p *sim.Process) {
@@ -144,7 +119,7 @@ func TestCloseLifecycle(t *testing.T) {
 	e.MaxTime = sim.Time(60 * sim.Second)
 	sys := NewSystem(e, topo.Server3090(2), DefaultConfig())
 	ranks := []int{0, 1}
-	bar := newTestBarrier(2)
+	bar := sim.NewBarrier("test.barrier", 2)
 	for rank := 0; rank < 2; rank++ {
 		rank := rank
 		e.Spawn("close", func(p *sim.Process) {
@@ -483,7 +458,7 @@ func TestClosedHandleReportsZeroStats(t *testing.T) {
 	e.MaxTime = sim.Time(60 * sim.Second)
 	sys := NewSystem(e, topo.Server3090(2), DefaultConfig())
 	ranks := []int{0, 1}
-	bar := newTestBarrier(2)
+	bar := sim.NewBarrier("test.barrier", 2)
 	for rank := 0; rank < 2; rank++ {
 		rank := rank
 		e.Spawn("stale", func(p *sim.Process) {

@@ -287,20 +287,7 @@ func TestDataBackendCarriesRealData(t *testing.T) {
 		recvs := make([]*mem.Buffer, n)
 		// Cycle barrier: all ranks must deregister (returning the
 		// communicator to DFCCL's pool) before any rank reopens.
-		arrived, gen := 0, 0
-		barCond := sim.NewCond("test.bar")
-		bar := func(p *sim.Process) {
-			g := gen
-			arrived++
-			if arrived == n {
-				arrived, gen = 0, gen+1
-				barCond.Broadcast(p.Engine())
-				return
-			}
-			for g == gen {
-				barCond.Wait(p)
-			}
-		}
+		bar := sim.NewBarrier("test.bar", n)
 		for rank := 0; rank < n; rank++ {
 			rank := rank
 			e.Spawn("drive", func(p *sim.Process) {
@@ -324,7 +311,7 @@ func TestDataBackendCarriesRealData(t *testing.T) {
 						t.Errorf("deregister: %v", err)
 						return
 					}
-					bar(p)
+					bar.Wait(p)
 				}
 				b.Teardown(p, rank)
 			})

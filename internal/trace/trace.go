@@ -9,7 +9,7 @@
 // nothing when disabled.
 //
 // The package deliberately imports only internal/sim and the standard
-// library, so every layer above it (prim, fabric, core, chaos, bench)
+// library, so every layer above it (prim, fabric, core, cluster, bench)
 // can feed the same recorder without import cycles.
 package trace
 

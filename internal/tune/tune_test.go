@@ -12,7 +12,7 @@ import (
 	"os"
 	"testing"
 
-	"dfccl/internal/chaos"
+	"dfccl/internal/cluster"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -198,16 +198,16 @@ func TestAutoSurvivesKillRevive(t *testing.T) {
 	}
 	const iters = 6
 	kill := 500 * sim.Microsecond
-	rep, err := chaos.Run(chaos.Config{
+	rep, err := cluster.RunElastic(cluster.ElasticConfig{
 		Workload: "dp", Cluster: topo.MultiNode3090(2), Ranks: []int{0, 1, 8, 9},
 		Iterations: iters, Algo: prim.AlgoAuto,
-		Schedule: chaos.Schedule{
-			{At: kill, Kind: chaos.Kill, Rank: 9},
-			{At: kill + 400*sim.Microsecond, Kind: chaos.Revive, Rank: 9},
+		Faults: []cluster.Event{
+			{At: kill, Kind: cluster.Kill, Rank: 9},
+			{At: kill + 400*sim.Microsecond, Kind: cluster.Revive, Rank: 9},
 		},
 	})
 	if err != nil {
-		t.Fatalf("chaos.Run: %v", err)
+		t.Fatalf("RunElastic: %v", err)
 	}
 	if rep.Hang {
 		t.Fatal("auto-picked run hung")
