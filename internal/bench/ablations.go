@@ -22,7 +22,7 @@ func AblationLazySave() (lazy, always []AblationResult, err error) {
 	run := func(alwaysSave bool) ([]AblationResult, error) {
 		cfg := core.DefaultConfig()
 		cfg.AlwaysSaveContext = alwaysSave
-		res, err := sec61WithConfig(cfg, 5, 7)
+		res, err := sec61Run(cfg, 5, 7, false)
 		if err != nil {
 			return nil, err
 		}
@@ -31,8 +31,8 @@ func AblationLazySave() (lazy, always []AblationResult, err error) {
 			label = "always"
 		}
 		return []AblationResult{
-			{label + "-context-saves", float64(res.ContextSaves), "saves"},
-			{label + "-elapsed", float64(res.Elapsed) / 1e6, "ms"},
+			{label + "-context-saves", float64(res.contextSaves), "saves"},
+			{label + "-elapsed", float64(res.elapsed) / 1e6, "ms"},
 		}, nil
 	}
 	if lazy, err = run(false); err != nil {
@@ -50,12 +50,12 @@ func AblationQuitPeriod(periods []sim.Duration) ([]AblationResult, error) {
 	for _, qp := range periods {
 		cfg := core.DefaultConfig()
 		cfg.QuitPeriod = qp
-		res, err := sec61SyncWithConfig(cfg, 3, 7)
+		res, err := sec61Run(cfg, 3, 7, true)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out,
-			AblationResult{"quit=" + qp.String() + "-elapsed", float64(res.Elapsed) / 1e6, "ms"},
+			AblationResult{"quit=" + qp.String() + "-elapsed", float64(res.elapsed) / 1e6, "ms"},
 			AblationResult{"quit=" + qp.String() + "-quits", float64(res.VoluntaryQuits), "quits"},
 		)
 	}
@@ -87,99 +87,6 @@ func AblationOrdering(iterations int) (fifo, priority float64, err error) {
 	}
 	priority, err = run(core.OrderPriority, true)
 	return
-}
-
-// sec61Ext augments Sec61Result with extra counters for ablations.
-type sec61Ext struct {
-	Sec61Result
-	ContextSaves int
-	Elapsed      sim.Duration
-}
-
-// sec61WithConfig runs the program-1 workload under an explicit DFCCL
-// configuration, returning extended counters.
-func sec61WithConfig(cfg core.Config, iterations int, seed int64) (sec61Ext, error) {
-	return sec61Configurable(cfg, iterations, seed, false)
-}
-
-// sec61SyncWithConfig is the program-2 (device sync) variant.
-func sec61SyncWithConfig(cfg core.Config, iterations int, seed int64) (sec61Ext, error) {
-	return sec61Configurable(cfg, iterations, seed, true)
-}
-
-func sec61Configurable(cfg core.Config, iterations int, seed int64, withSync bool) (sec61Ext, error) {
-	const nGPU, nColl = 8, 8
-	orders, sizes := sec61Workload(nGPU, nColl, seed)
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(3600 * sim.Second)
-	cluster := topo.Server3090(nGPU)
-	sys := core.NewSystem(e, cluster, cfg)
-	ranks := make([]int, nGPU)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	var ext sec61Ext
-	var firstErr error
-	for rank := 0; rank < nGPU; rank++ {
-		rank := rank
-		e.Spawn("abl", func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			colls := make([]*core.Collective, nColl)
-			for c := 0; c < nColl; c++ {
-				coll, err := rc.Open(collSpec(sizes[c], ranks), core.WithCollID(c))
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				colls[c] = coll
-			}
-			send := zeroBuf()
-			recv := zeroBuf()
-			for it := 0; it < iterations; it++ {
-				for _, c := range orders[rank] {
-					if err := colls[c].LaunchCB(p, send, recv, nil); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
-					}
-					if withSync {
-						rc.DeviceSynchronize(p)
-					}
-				}
-				rc.WaitAll(p)
-			}
-			ext.Completed += rc.Completed()
-			ext.Preemptions += rc.Stats.Preemptions
-			ext.VoluntaryQuits += rc.Stats.VoluntaryQuits
-			ext.ContextSaves += rc.Stats.ContextSaves
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return ext, firstErr
-	}
-	if err != nil {
-		ext.Deadlocked = true
-	}
-	ext.Elapsed = sim.Duration(e.Now())
-	return ext, nil
-}
-
-func sec61Workload(nGPU, nColl int, seed int64) ([][]int, []int) {
-	orders := make([][]int, nGPU)
-	rng := newSeededRNG(seed)
-	for i := range orders {
-		orders[i] = rng.Perm(nColl)
-	}
-	sizes := make([]int, nColl)
-	for i := range sizes {
-		sizes[i] = 64 << i
-	}
-	return orders, sizes
 }
 
 // AblationBatchedSQERead compares per-entry SQE reads against the

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"dfccl/internal/core"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
 	"dfccl/internal/topo"
@@ -39,7 +40,7 @@ func TestMeasureBothLibsSmallAllReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := MeasureDFCCL(cfg, coreDefault())
+	d, err := MeasureDFCCL(cfg, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +209,11 @@ func TestMoEZeROScenarios(t *testing.T) {
 func TestA2ASweepInvariants(t *testing.T) {
 	cluster := topo.NewCluster(2, 2, topo.RTX3090, topo.DefaultLinks)
 	counts := a2aCounts(4, "hot-row")
-	ringRow, ringOuts, err := runA2A(cluster, counts, prim.AlgoRing)
+	ringRow, ringOuts, _, err := runColl(cluster, nil, prim.Spec{Kind: prim.AllToAllv, Counts: counts, Algo: prim.AlgoRing}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hierRow, hierOuts, err := runA2A(cluster, counts, prim.AlgoHierarchical)
+	hierRow, hierOuts, _, err := runColl(cluster, nil, prim.Spec{Kind: prim.AllToAllv, Counts: counts, Algo: prim.AlgoHierarchical}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,3 +71,38 @@ func TestClusterBenchCellsPinned(t *testing.T) {
 	}
 	sameCells(t, clusterCells(rows), committedCells(t, "cluster"))
 }
+
+// TestA2ABenchCellsPinned regenerates the all-to-all matrix cells
+// (shape × per-pair size × algorithm × fabric) and holds them to the
+// committed snapshot.
+func TestA2ABenchCellsPinned(t *testing.T) {
+	got, err := a2aBenchCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCells(t, got, committedCells(t, "a2abench"))
+}
+
+// TestCollBenchCellsPinned regenerates the full-collective matrix
+// cells (shape × kind × size × ring/hierarchical/auto × fabric) and
+// holds them to the committed snapshot.
+func TestCollBenchCellsPinned(t *testing.T) {
+	got, err := CollBenchCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCells(t, got, committedCells(t, "collbench"))
+}
+
+// TestLaunchPathCellLabels holds the launch-path cell's labels and
+// virtual latency to the committed snapshot. AllocsPerOp is left out:
+// the count shifts under the race detector.
+func TestLaunchPathCellLabels(t *testing.T) {
+	got, err := LaunchPathAllocCell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := committedCells(t, "launchpath")
+	got.AllocsPerOp = want[0].AllocsPerOp
+	sameCells(t, []BenchCell{got}, want)
+}

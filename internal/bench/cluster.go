@@ -169,8 +169,8 @@ func LaunchPathAllocCell() (BenchCell, error) {
 		return BenchCell{}, err
 	}
 	return BenchCell{
-		Figure: "launchpath", Nodes: 1, GPUsPerNode: 3,
-		Algo: "ring", Fabric: "unshared",
+		Figure: "launchpath", Nodes: probeNodes, GPUsPerNode: probeGPUs,
+		Elems: probeElems, Algo: "ring", Fabric: "unshared",
 		E2ENs: int64(e2e), Workload: "traceprobe-nilrecorder",
 		AllocsPerOp: q,
 	}, nil

@@ -48,14 +48,6 @@ type CollConfig struct {
 
 func (c CollConfig) count() int { return c.Bytes / mem.Float32.Size() }
 
-func (c CollConfig) ranks() []int {
-	ranks := make([]int, c.Cluster.Size())
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return ranks
-}
-
 func (c CollConfig) spec() prim.Spec {
 	count := c.count()
 	// NCCL-Tests convention: the plotted size is the aggregate buffer;
@@ -68,7 +60,7 @@ func (c CollConfig) spec() prim.Spec {
 	}
 	return prim.Spec{
 		Kind: c.Kind, Count: count, Type: mem.Float32, Op: mem.Sum,
-		Ranks: c.ranks(), TimingOnly: true,
+		Ranks: allRanks(c.Cluster.Size()), TimingOnly: true,
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"dfccl/internal/fabric"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
-	"dfccl/internal/topo"
 )
 
 // A2AContentionRow is one (oversubscription, skew, algorithm) cell of
@@ -52,6 +51,14 @@ func (r A2AContentionRow) String() string {
 		r.Slowdown(), HumanBytes(r.RDMABytes), r.BitIdentical)
 }
 
+// contentionScale multiplies the algorithm sweep's count matrices into
+// the bandwidth-dominated regime (uniform blocks of 48 KB), where the
+// spine is the bottleneck for both algorithms and the hierarchical
+// advantage is a capacity statement rather than a latency one. Below
+// this regime the flat ring hides its RDMA hops behind the store-and-
+// forward critical path and contention only narrows the relative gap.
+const contentionScale = 256
+
 // AllToAllContentionSweep runs the 4-node congestion sweep: for each
 // oversubscription factor and skew regime the same real-data AllToAllv
 // runs under the flat ring and the hierarchical algorithm on a shared
@@ -64,23 +71,11 @@ func (r A2AContentionRow) String() string {
 // oversubscribed tiers fewer times), and every run's outputs are
 // bit-identical — contention reprices, it never reroutes.
 func AllToAllContentionSweep(oversubs []float64) ([]A2AContentionRow, error) {
-	return contentionSweep(4, 4, oversubs)
-}
-
-// contentionScale multiplies the algorithm sweep's count matrices into
-// the bandwidth-dominated regime (uniform blocks of 48 KB), where the
-// spine is the bottleneck for both algorithms and the hierarchical
-// advantage is a capacity statement rather than a latency one. Below
-// this regime the flat ring hides its RDMA hops behind the store-and-
-// forward critical path and contention only narrows the relative gap.
-const contentionScale = 256
-
-// contentionSweep is AllToAllContentionSweep over an explicit shape.
-func contentionSweep(nodes, gpus int, oversubs []float64) ([]A2AContentionRow, error) {
+	sh := shape{4, 4}
 	var rows []A2AContentionRow
 	for _, f := range oversubs {
 		for _, skew := range []string{"uniform", "hot-row"} {
-			counts := a2aCounts(nodes*gpus, skew)
+			counts := a2aCounts(sh.nodes*sh.gpus, skew)
 			for i := range counts {
 				for j := range counts[i] {
 					counts[i][j] *= contentionScale
@@ -88,14 +83,14 @@ func contentionSweep(nodes, gpus int, oversubs []float64) ([]A2AContentionRow, e
 			}
 			var ringOuts [][]byte
 			for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
-				cluster := topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks)
+				spec := prim.Spec{Kind: prim.AllToAllv, Counts: counts, Algo: algo}
+				cluster := sh.cluster()
 				net := fabric.Shared(cluster, fabric.OversubConfig(f))
-				row, outs, tiers, err := runA2AWith(cluster, net, counts, algo)
+				row, outs, elapsed, err := runColl(cluster, net, spec, nil)
 				if err != nil {
 					return nil, err
 				}
-				unshRow, unshOuts, err := runA2A(
-					topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks), counts, algo)
+				unshRow, unshOuts, _, err := runColl(sh.cluster(), nil, spec, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -103,10 +98,10 @@ func contentionSweep(nodes, gpus int, oversubs []float64) ([]A2AContentionRow, e
 					ringOuts = outs
 				}
 				rows = append(rows, A2AContentionRow{
-					Nodes: nodes, GPUsPerNode: gpus, Skew: skew, Oversub: f, Algo: algo,
+					Nodes: sh.nodes, GPUsPerNode: sh.gpus, Skew: skew, Oversub: f, Algo: algo,
 					E2E: row.E2E, UnsharedE2E: unshRow.E2E, RDMABytes: row.RDMABytes,
 					BitIdentical: bytesEqual(outs, unshOuts) && bytesEqual(outs, ringOuts),
-					Tiers:        tiers,
+					Tiers:        fabric.TierSummary(net.Snapshot(), elapsed),
 				})
 			}
 		}
@@ -176,53 +171,75 @@ type BenchCell struct {
 }
 
 // A2ABenchMatrix generates the all-to-all half of the benchmark
-// matrix (FullBenchMatrix appends the full-collective cells):
-// uniform all-to-all at three per-pair sizes across the node shapes,
-// each priced under both algorithms on the unshared fabric and on a
-// 2:1-oversubscribed shared fabric, followed by the fault-injection
-// scenarios with their chaos-overhead column (ChaosBenchCells).
-// Deterministic by construction — regenerating the file must be a
-// no-op diff.
+// matrix (FullBenchMatrix appends the full-collective cells): the
+// a2abench cells followed by the fault-injection scenarios with their
+// chaos-overhead column (ChaosBenchCells). Deterministic by
+// construction — regenerating the file must be a no-op diff.
 func A2ABenchMatrix() ([]BenchCell, error) {
-	const benchOversub = 2.0
-	var cells []BenchCell
-	for _, shape := range []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}} {
-		for _, elems := range []int{24, 96, 384} {
-			n := shape.nodes * shape.gpus
-			counts := make([][]int, n)
-			for i := range counts {
-				counts[i] = make([]int, n)
-				for j := range counts[i] {
-					counts[i][j] = elems
-				}
-			}
-			for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
-				for _, shared := range []bool{false, true} {
-					cluster := topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
-					var net *fabric.Network
-					cell := BenchCell{
-						Figure: "a2abench", Nodes: shape.nodes, GPUsPerNode: shape.gpus,
-						Elems: elems, Algo: fmt.Sprint(algo), Fabric: "unshared",
-					}
-					if shared {
-						net = fabric.Shared(cluster, fabric.OversubConfig(benchOversub))
-						cell.Fabric = fmt.Sprintf("oversub%g", benchOversub)
-						cell.Oversub = benchOversub
-					}
-					row, _, _, err := runA2AWith(cluster, net, counts, algo)
-					if err != nil {
-						return nil, err
-					}
-					cell.E2ENs = int64(row.E2E)
-					cell.SHMBytes, cell.RDMABytes = row.SHMBytes, row.RDMABytes
-					cells = append(cells, cell)
-				}
-			}
-		}
+	cells, err := a2aBenchCells()
+	if err != nil {
+		return nil, err
 	}
 	chaosCells, err := ChaosBenchCells(6)
 	if err != nil {
 		return nil, err
 	}
 	return append(cells, chaosCells...), nil
+}
+
+// a2aBenchCells is uniform all-to-all at three per-pair sizes across
+// the node shapes under both algorithms.
+func a2aBenchCells() ([]BenchCell, error) {
+	return matrixCells("a2abench", []prim.Kind{prim.AllToAllv}, []int{24, 96, 384},
+		[]prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical})
+}
+
+// CollBenchCells generates the full-collective half of the benchmark
+// matrix: the three reduction kinds × payload sizes × ring /
+// hierarchical / auto × node shapes.
+func CollBenchCells() ([]BenchCell, error) {
+	return matrixCells("collbench", []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter},
+		[]int{64, 512, 4096}, []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical, prim.AlgoAuto})
+}
+
+// matrixCells is the benchmark matrix's cell loop: shape × kind × size
+// × algorithm, each cell priced on the unshared fabric and then on a
+// 2:1-oversubscribed shared fabric. AllToAllv cells are labelled by
+// their per-pair block size and carry no kind name.
+func matrixCells(figure string, kinds []prim.Kind, sizes []int, algos []prim.Algorithm) ([]BenchCell, error) {
+	const benchOversub = 2.0
+	var cells []BenchCell
+	for _, sh := range benchShapes {
+		for _, kind := range kinds {
+			for _, size := range sizes {
+				for _, algo := range algos {
+					for _, shared := range []bool{false, true} {
+						cluster := sh.cluster()
+						spec, elems := benchSpec(kind, size, cluster.Size(), algo)
+						cell := BenchCell{
+							Figure: figure, Nodes: sh.nodes, GPUsPerNode: sh.gpus,
+							Elems: elems, Algo: fmt.Sprint(algo), Fabric: "unshared",
+						}
+						if kind != prim.AllToAllv {
+							cell.Kind = kind.String()
+						}
+						var net *fabric.Network
+						if shared {
+							net = fabric.Shared(cluster, fabric.OversubConfig(benchOversub))
+							cell.Fabric = fmt.Sprintf("oversub%g", benchOversub)
+							cell.Oversub = benchOversub
+						}
+						row, _, _, err := runColl(cluster, net, spec, nil)
+						if err != nil {
+							return nil, err
+						}
+						cell.E2ENs = int64(row.E2E)
+						cell.SHMBytes, cell.RDMABytes = row.SHMBytes, row.RDMABytes
+						cells = append(cells, cell)
+					}
+				}
+			}
+		}
+	}
+	return cells, nil
 }

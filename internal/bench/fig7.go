@@ -79,7 +79,3 @@ func Fig7CQSweep() (map[core.CQVariant]sim.Duration, error) {
 	}
 	return out, nil
 }
-
-// coreDefault returns the default DFCCL configuration (helper for
-// tests and tools in this package).
-func coreDefault() core.Config { return core.DefaultConfig() }

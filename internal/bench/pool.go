@@ -32,10 +32,7 @@ func PoolChurn(nGPUs, cycles int) (PoolChurnResult, error) {
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(600 * sim.Second)
 	sys := core.NewSystem(e, topo.Server3090(nGPUs), core.DefaultConfig())
-	ranks := make([]int, nGPUs)
-	for i := range ranks {
-		ranks[i] = i
-	}
+	ranks := allRanks(nGPUs)
 	bar := sim.NewBarrier("bench.barrier", nGPUs)
 	res := PoolChurnResult{Cycles: cycles}
 	var firstErr error

@@ -90,10 +90,7 @@ func traceScenario() (*TraceResult, error) {
 	e.MaxTime = sim.Time(600 * sim.Second)
 	sys := core.NewSystem(e, cluster, cfg)
 
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
+	ranks := allRanks(n)
 	arSpec := prim.Spec{Kind: prim.AllReduce, Count: traceARElems, Type: mem.Float64, Op: mem.Sum, Ranks: ranks, Algo: prim.AlgoAuto}
 	a2aSpec := prim.Spec{Kind: prim.AllToAll, Count: traceA2AElems, Type: mem.Float64, Ranks: ranks, Algo: prim.AlgoHierarchical}
 
@@ -325,15 +322,20 @@ func traceScenario() (*TraceResult, error) {
 	return res, nil
 }
 
-// TraceProbe runs one small single-node ring all-reduce with the given
-// recorder (nil = recording off) and returns its virtual end-to-end
-// latency. The root package's benchmarks loop it with b.ReportAllocs
-// to pin the nil-recorder launch path's host-side allocation count
-// next to the recorded path's, and TraceOverheadCells uses full cells
-// to pin the zero observer effect in virtual time.
+// The trace probe's run: a ring all-reduce of probeElems elements on
+// one node of probeGPUs GPUs. TraceProbe runs it and
+// LaunchPathAllocCell labels its cell with it.
+const probeNodes, probeGPUs, probeElems = 1, 4, 256
+
+// TraceProbe runs the probe collective with the given recorder (nil =
+// recording off) and returns its virtual end-to-end latency. The root
+// package's benchmarks loop it with b.ReportAllocs to pin the
+// nil-recorder launch path's host-side allocation count next to the
+// recorded path's, and TraceOverheadCells uses full cells to pin the
+// zero observer effect in virtual time.
 func TraceProbe(rec *trace.Recorder) (sim.Duration, error) {
-	cluster := topo.NewCluster(1, 4, topo.RTX3090, topo.DefaultLinks)
-	row, _, err := runCollWith(cluster, nil, prim.AllReduce, 256, prim.AlgoRing, nil, rec)
+	cluster := shape{probeNodes, probeGPUs}.cluster()
+	row, _, _, err := runColl(cluster, nil, prim.Spec{Kind: prim.AllReduce, Count: probeElems, Algo: prim.AlgoRing}, rec)
 	return row.E2E, err
 }
 
@@ -355,15 +357,14 @@ func TraceOverheadCells() ([]BenchCell, error) {
 		{prim.AllReduce, prim.AlgoHierarchical, 1024},
 		{prim.AllToAll, prim.AlgoHierarchical, 96},
 	} {
-		newCluster := func() *topo.Cluster {
-			return topo.NewCluster(2, 4, topo.RTX3090, topo.DefaultLinks)
-		}
-		plain, _, err := runCollWith(newCluster(), nil, c.kind, c.elems, c.algo, nil, nil)
+		sh := shape{2, 4}
+		spec := prim.Spec{Kind: c.kind, Count: c.elems, Algo: c.algo}
+		plain, _, _, err := runColl(sh.cluster(), nil, spec, nil)
 		if err != nil {
 			return nil, err
 		}
 		rec := &trace.Recorder{}
-		traced, _, err := runCollWith(newCluster(), nil, c.kind, c.elems, c.algo, nil, rec)
+		traced, _, _, err := runColl(sh.cluster(), nil, spec, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -375,7 +376,7 @@ func TraceOverheadCells() ([]BenchCell, error) {
 			return nil, fmt.Errorf("bench: tracing perturbed %v/%v: %dns overhead", c.kind, c.algo, delta)
 		}
 		cells = append(cells, BenchCell{
-			Figure: "traceoverhead", Nodes: 2, GPUsPerNode: 4,
+			Figure: "traceoverhead", Nodes: sh.nodes, GPUsPerNode: sh.gpus,
 			Kind: c.kind.String(), Elems: c.elems, Algo: fmt.Sprint(c.algo),
 			Fabric: "unshared", E2ENs: int64(traced.E2E), TraceOverheadNs: delta,
 		})

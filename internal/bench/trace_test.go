@@ -23,20 +23,15 @@ func TestTraceFig(t *testing.T) {
 }
 
 // TestTraceOverheadCells pins the observer effect: installing the
-// recorder must not move the virtual timeline by a single nanosecond.
+// recorder must not move the virtual timeline by a single nanosecond
+// (TraceOverheadCells fails on any delta), and every cell must match
+// the committed snapshot, TraceOverheadNs = 0 included.
 func TestTraceOverheadCells(t *testing.T) {
 	cells, err := TraceOverheadCells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) == 0 {
-		t.Fatal("no traceoverhead cells")
-	}
-	for _, c := range cells {
-		if c.TraceOverheadNs != 0 {
-			t.Errorf("%s/%s: trace overhead %dns, want 0", c.Kind, c.Algo, c.TraceOverheadNs)
-		}
-	}
+	sameCells(t, cells, committedCells(t, "traceoverhead"))
 }
 
 // TestTraceScenarioRerunsIdentical reruns the flight-recorder scenario

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"dfccl/internal/core"
@@ -15,6 +14,29 @@ import (
 	"dfccl/internal/topo"
 	"dfccl/internal/train"
 )
+
+// newBackend builds an engine limited to maxTime and the named
+// collective backend over it: "dfccl" (default configuration),
+// "oneflow-static" and "nccl-staticsort" (NCCL behind a static launch-
+// order sort, as OneFlow schedules it), "kungfu", "horovod", or
+// "nccl-singlestream".
+func newBackend(name string, cluster *topo.Cluster, maxTime sim.Duration) (*sim.Engine, orch.Backend) {
+	e := sim.NewEngine()
+	e.MaxTime = sim.Time(maxTime)
+	switch name {
+	case "dfccl":
+		return e, orch.NewDFCCL(e, cluster, core.DefaultConfig())
+	case "oneflow-static", "nccl-staticsort":
+		return e, orch.NewStaticSort(e, cluster)
+	case "kungfu":
+		return e, orch.NewKungFu(e, cluster)
+	case "horovod":
+		return e, orch.NewHorovod(e, cluster)
+	case "nccl-singlestream":
+		return e, orch.NewNCCLSingleStream(e, cluster)
+	}
+	panic("bench: unknown backend " + name)
+}
 
 // Fig10Row is one bar of the ResNet50 data-parallel comparison.
 type Fig10Row struct {
@@ -37,23 +59,10 @@ func Fig10(iterations int) ([]Fig10Row, error) {
 		{"3080ti", func() *topo.Cluster { return topo.Server3080Ti(8) }, 48},
 		{"3090", func() *topo.Cluster { return topo.Server3090(8) }, 96},
 	}
-	backends := []string{"oneflow-static", "dfccl", "kungfu", "horovod"}
 	for _, sv := range servers {
-		for _, name := range backends {
-			e := sim.NewEngine()
-			e.MaxTime = sim.Time(3600 * sim.Second)
+		for _, name := range []string{"oneflow-static", "dfccl", "kungfu", "horovod"} {
 			cluster := sv.cluster()
-			var b orch.Backend
-			switch name {
-			case "oneflow-static":
-				b = orch.NewStaticSort(e, cluster)
-			case "dfccl":
-				b = orch.NewDFCCL(e, cluster, core.DefaultConfig())
-			case "kungfu":
-				b = orch.NewKungFu(e, cluster)
-			case "horovod":
-				b = orch.NewHorovod(e, cluster)
-			}
+			e, b := newBackend(name, cluster, 3600*sim.Second)
 			res, err := train.RunDP(e, cluster, b, train.DPConfig{
 				Model: train.ResNet50(), BatchPerGPU: sv.batch, Iterations: iterations,
 			})
@@ -131,48 +140,48 @@ type Fig12Row struct {
 	DFCCLSer   []float64
 }
 
+// hybridCase is one hybrid-parallel configuration of Fig. 12 or 13 on
+// a number of 8-GPU 3090 nodes.
+type hybridCase struct {
+	name   string
+	nodes  int
+	hybrid train.HybridConfig
+}
+
+// runHybridPair runs a hybrid-parallel case on the static-sorted NCCL
+// baseline and on DFCCL.
+func runHybridPair(fig string, c hybridCase, iterations int) (nccl, dfccl *train.Result, err error) {
+	c.hybrid.Iterations = iterations
+	var res [2]*train.Result
+	for i, lib := range []string{"nccl-staticsort", "dfccl"} {
+		cluster := topo.MultiNode3090(c.nodes)
+		e, b := newBackend(lib, cluster, 7200*sim.Second)
+		if res[i], err = train.RunHybrid(e, cluster, b, c.hybrid); err != nil {
+			return nil, nil, fmt.Errorf("%s %s/%s: %w", fig, c.name, lib, err)
+		}
+	}
+	return res[0], res[1], nil
+}
+
 // Fig12 runs the four ViT configurations of Fig. 12: DP on 8 GPUs,
 // TP on 8 GPUs, 3D hybrid (base) on 16 GPUs, 3D hybrid (large) on 16.
 func Fig12(iterations int) ([]Fig12Row, error) {
-	type cfg struct {
-		name   string
-		nodes  int
-		hybrid train.HybridConfig
-	}
-	cfgs := []cfg{
+	var rows []Fig12Row
+	for _, c := range []hybridCase{
 		{"vit-base-dp8", 1, train.HybridConfig{Model: train.ViTBase(), TP: 1, DP: 8, PP: 1, MicrobatchSize: 128, NumMicrobatches: 1}},
 		{"vit-base-tp8", 1, train.HybridConfig{Model: train.ViTBase(), TP: 8, DP: 1, PP: 1, MicrobatchSize: 128, NumMicrobatches: 1}},
 		{"vit-base-3d16", 2, train.HybridConfig{Model: train.ViTBase(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 128, NumMicrobatches: 4}},
 		{"vit-large-3d16", 2, train.HybridConfig{Model: train.ViTLarge(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 128, NumMicrobatches: 4}},
-	}
-	var rows []Fig12Row
-	for _, c := range cfgs {
-		c.hybrid.Iterations = iterations
-		row := Fig12Row{Name: c.name}
-		for _, lib := range []string{"nccl", "dfccl"} {
-			e := sim.NewEngine()
-			e.MaxTime = sim.Time(7200 * sim.Second)
-			cluster := topo.MultiNode3090(c.nodes)
-			var b orch.Backend
-			if lib == "nccl" {
-				b = orch.NewStaticSort(e, cluster)
-			} else {
-				b = orch.NewDFCCL(e, cluster, core.DefaultConfig())
-			}
-			res, err := train.RunHybrid(e, cluster, b, c.hybrid)
-			if err != nil {
-				return nil, fmt.Errorf("fig12 %s/%s: %w", c.name, lib, err)
-			}
-			series := res.RunningThroughput(c.hybrid.SamplesPerIteration())
-			if lib == "nccl" {
-				row.NCCL = res.Throughput
-				row.NCCLSeries = series
-			} else {
-				row.DFCCL = res.Throughput
-				row.DFCCLSer = series
-			}
+	} {
+		nccl, dfccl, err := runHybridPair("fig12", c, iterations)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		samples := c.hybrid.SamplesPerIteration()
+		rows = append(rows, Fig12Row{
+			Name: c.name, NCCL: nccl.Throughput, DFCCL: dfccl.Throughput,
+			NCCLSeries: nccl.RunningThroughput(samples), DFCCLSer: dfccl.RunningThroughput(samples),
+		})
 	}
 	return rows, nil
 }
@@ -189,42 +198,20 @@ type Fig13Row struct {
 // Fig13 runs GPT-2 under 3D hybrid parallelism on 8 and 16 GPUs with
 // microbatch size 18, comparing per-iteration time and stability.
 func Fig13(iterations int) ([]Fig13Row, error) {
-	type cfg struct {
-		name   string
-		nodes  int
-		hybrid train.HybridConfig
-	}
-	cfgs := []cfg{
+	var rows []Fig13Row
+	for _, c := range []hybridCase{
 		{"gpt2-3d8", 1, train.HybridConfig{Model: train.GPT2(), TP: 2, DP: 2, PP: 2, MicrobatchSize: 18, NumMicrobatches: 4, JitterPct: 0.06, JitterSeed: 11}},
 		{"gpt2-3d16", 2, train.HybridConfig{Model: train.GPT2(), TP: 2, DP: 2, PP: 4, MicrobatchSize: 18, NumMicrobatches: 4, JitterPct: 0.06, JitterSeed: 11}},
-	}
-	var rows []Fig13Row
-	for _, c := range cfgs {
-		c.hybrid.Iterations = iterations
-		row := Fig13Row{Name: c.name}
-		for _, lib := range []string{"nccl", "dfccl"} {
-			e := sim.NewEngine()
-			e.MaxTime = sim.Time(7200 * sim.Second)
-			cluster := topo.MultiNode3090(c.nodes)
-			var b orch.Backend
-			if lib == "nccl" {
-				b = orch.NewStaticSort(e, cluster)
-			} else {
-				b = orch.NewDFCCL(e, cluster, core.DefaultConfig())
-			}
-			res, err := train.RunHybrid(e, cluster, b, c.hybrid)
-			if err != nil {
-				return nil, fmt.Errorf("fig13 %s/%s: %w", c.name, lib, err)
-			}
-			iterMS := res.IterTimes.Mean() * 1000
-			cov := res.IterTimes.CoV()
-			if lib == "nccl" {
-				row.NCCLIterMS, row.NCCLCoV = iterMS, cov
-			} else {
-				row.DFCCLIterMS, row.DFCCLCoV = iterMS, cov
-			}
+	} {
+		nccl, dfccl, err := runHybridPair("fig13", c, iterations)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig13Row{
+			Name:       c.name,
+			NCCLIterMS: nccl.IterTimes.Mean() * 1000, DFCCLIterMS: dfccl.IterTimes.Mean() * 1000,
+			NCCLCoV: nccl.IterTimes.CoV(), DFCCLCoV: dfccl.IterTimes.CoV(),
+		})
 	}
 	return rows, nil
 }
@@ -237,68 +224,69 @@ type Sec61Result struct {
 	Completed      int
 	Preemptions    int
 	VoluntaryQuits int
+	// contextSaves and elapsed feed the ablations built on the
+	// programs.
+	contextSaves int
+	elapsed      sim.Duration
+}
+
+// The Sec. 6.1 deployment: eight GPUs, eight all-reduces.
+const sec61GPUs, sec61Colls = 8, 8
+
+// sec61Workload generates the testing programs' schedule: a unique
+// seeded random launch order per GPU, and all-reduce c of 64<<c
+// float32 elements (256B .. 32KB).
+func sec61Workload(seed int64) (orders [][]int, sizes []int) {
+	rng := newSeededRNG(seed)
+	orders = make([][]int, sec61GPUs)
+	for i := range orders {
+		orders[i] = rng.Perm(sec61Colls)
+	}
+	sizes = make([]int, sec61Colls)
+	for i := range sizes {
+		sizes[i] = 64 << i
+	}
+	return orders, sizes
 }
 
 // Sec61Program1 runs the first testing program (eight GPUs, eight
 // all-reduces of 256B-1MB, unique random launch order per GPU,
 // iterations of the whole set) over DFCCL or the NCCL baseline.
 func Sec61Program1(lib string, iterations int, seed int64) (Sec61Result, error) {
-	const nGPU, nColl = 8, 8
-	rng := rand.New(rand.NewSource(seed))
-	orders := make([][]int, nGPU)
-	for i := range orders {
-		orders[i] = rng.Perm(nColl)
-	}
-	sizes := make([]int, nColl)
-	for i := range sizes {
-		sizes[i] = 64 << i // 256B .. 32KB float32 elems -> 256B..1MB buffers span
-	}
 	if lib == "nccl" {
 		// Program 1 uses a single queue (stream) per GPU, the paper's
 		// Fig. 1(c) regime; the NCCL baseline deadlocks there.
-		return sec61NCCLSingleQueue(orders, sizes)
+		return sec61NCCLSingleQueue(seed)
 	}
-	return sec61DFCCL(orders, sizes, iterations, false)
+	return sec61Run(core.DefaultConfig(), iterations, seed, false)
 }
 
 // Sec61Program2 inserts cudaDeviceSynchronize between the disordered
 // all-reduces (DFCCL only; NCCL deadlocks already in program 1).
 func Sec61Program2(iterations int, seed int64) (Sec61Result, error) {
-	const nGPU, nColl = 8, 8
-	rng := rand.New(rand.NewSource(seed))
-	orders := make([][]int, nGPU)
-	for i := range orders {
-		orders[i] = rng.Perm(nColl)
-	}
-	sizes := make([]int, nColl)
-	for i := range sizes {
-		sizes[i] = 64 << i
-	}
-	return sec61DFCCL(orders, sizes, iterations, true)
+	return sec61Run(core.DefaultConfig(), iterations, seed, true)
 }
 
-func sec61DFCCL(orders [][]int, sizes []int, iterations int, withSync bool) (Sec61Result, error) {
-	nGPU := len(orders)
-	nColl := len(sizes)
+// sec61Run runs a testing program over DFCCL under cfg: program 1, or
+// program 2 when withSync inserts a device synchronization after
+// every launch.
+func sec61Run(cfg core.Config, iterations int, seed int64, withSync bool) (Sec61Result, error) {
+	orders, sizes := sec61Workload(seed)
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(3600 * sim.Second)
-	cluster := topo.Server3090(nGPU)
-	sys := core.NewSystem(e, cluster, core.DefaultConfig())
-	ranks := make([]int, nGPU)
-	for i := range ranks {
-		ranks[i] = i
-	}
+	sys := core.NewSystem(e, topo.Server3090(sec61GPUs), cfg)
+	ranks := allRanks(sec61GPUs)
 	res := Sec61Result{Program: "1", Lib: "dfccl"}
 	if withSync {
 		res.Program = "2"
 	}
 	var firstErr error
-	for rank := 0; rank < nGPU; rank++ {
+	for rank := 0; rank < sec61GPUs; rank++ {
 		rank := rank
 		e.Spawn("sec61", func(p *sim.Process) {
 			rc := sys.Init(p, rank)
-			colls := make([]*core.Collective, nColl)
-			for c := 0; c < nColl; c++ {
+			colls := make([]*core.Collective, sec61Colls)
+			for c := range colls {
 				coll, err := rc.Open(collSpec(sizes[c], ranks), core.WithCollID(c))
 				if err != nil {
 					if firstErr == nil {
@@ -308,8 +296,8 @@ func sec61DFCCL(orders [][]int, sizes []int, iterations int, withSync bool) (Sec
 				}
 				colls[c] = coll
 			}
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
+			send := zeroBuf()
+			recv := zeroBuf()
 			for it := 0; it < iterations; it++ {
 				for _, c := range orders[rank] {
 					if err := colls[c].LaunchCB(p, send, recv, nil); err != nil {
@@ -327,6 +315,7 @@ func sec61DFCCL(orders [][]int, sizes []int, iterations int, withSync bool) (Sec
 			res.Completed += rc.Completed()
 			res.Preemptions += rc.Stats.Preemptions
 			res.VoluntaryQuits += rc.Stats.VoluntaryQuits
+			res.contextSaves += rc.Stats.ContextSaves
 			rc.Destroy(p)
 		})
 	}
@@ -337,6 +326,7 @@ func sec61DFCCL(orders [][]int, sizes []int, iterations int, withSync bool) (Sec
 	if err != nil {
 		res.Deadlocked = true
 	}
+	res.elapsed = sim.Duration(e.Now())
 	return res, nil
 }
 
@@ -350,26 +340,22 @@ func collSpec(count int, ranks []int) prim.Spec {
 // sec61NCCLSingleQueue launches the eight disordered all-reduces on a
 // single stream per GPU over the NCCL baseline; the engine reports the
 // deadlock.
-func sec61NCCLSingleQueue(orders [][]int, sizes []int) (Sec61Result, error) {
-	nGPU := len(orders)
+func sec61NCCLSingleQueue(seed int64) (Sec61Result, error) {
+	orders, sizes := sec61Workload(seed)
 	e := sim.NewEngine()
 	e.MaxTime = sim.Time(600 * sim.Second)
-	cluster := topo.Server3090(nGPU)
-	lib := ncclsim.New(e, cluster)
-	ranks := make([]int, nGPU)
-	for i := range ranks {
-		ranks[i] = i
-	}
+	lib := ncclsim.New(e, topo.Server3090(sec61GPUs))
+	ranks := allRanks(sec61GPUs)
 	comms := make([]*ncclsim.Comm, len(sizes))
 	for i := range comms {
 		comms[i] = lib.NewComm(ranks)
 	}
-	for rank := 0; rank < nGPU; rank++ {
+	for rank := 0; rank < sec61GPUs; rank++ {
 		rank := rank
 		e.Spawn("sec61.nccl", func(p *sim.Process) {
 			st := lib.Device(rank).NewStream()
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float32, 0)
+			send := zeroBuf()
+			recv := zeroBuf()
 			for _, c := range orders[rank] {
 				comms[c].Launch(p, st, rank, collSpec(sizes[c], ranks), send, recv)
 			}

@@ -3,129 +3,14 @@ package bench
 import (
 	"fmt"
 
-	"dfccl/internal/core"
-	"dfccl/internal/fabric"
-	"dfccl/internal/mem"
 	"dfccl/internal/prim"
 	"dfccl/internal/sim"
-	"dfccl/internal/topo"
-	"dfccl/internal/trace"
 	"dfccl/internal/tune"
 )
 
-// benchCollVal is the deterministic send-buffer fill for the reduction
-// collectives: small exact integers, so every reduction order is exact
-// and cross-algorithm outputs compare byte for byte.
-func benchCollVal(rank, i int) float64 {
-	return float64(1 + (rank*37+i*13)%97)
-}
-
-// CollRunRow is one measured collective run: end-to-end latency, the
-// per-transport wire split, and — for AlgoAuto launches — the concrete
-// algorithm the tuning table resolved to.
-type CollRunRow struct {
-	E2E                 sim.Duration
-	SHMBytes, RDMABytes int
-	Resolved            prim.Algorithm
-}
-
-// benchCollSpec assembles the spec for one benchmark run of a
-// uniform-count collective kind.
-func benchCollSpec(kind prim.Kind, count int, ranks []int, algo prim.Algorithm) prim.Spec {
-	s := prim.Spec{Kind: kind, Count: count, Type: mem.Float64, Ranks: ranks, Algo: algo}
-	switch kind {
-	case prim.AllReduce, prim.ReduceScatter, prim.Reduce:
-		s.Op = mem.Sum
-	}
-	return s
-}
-
-// runCollWith runs one real-data collective over the v2 handle API with
-// the given algorithm (ring, hierarchical, or auto) and fabric (nil =
-// unshared), returning the measured row plus every rank's recv bytes
-// for cross-algorithm comparison. A non-nil rec is installed as the
-// run's flight recorder (the tracing-overhead cells pin that doing so
-// leaves the virtual timeline untouched).
-func runCollWith(cluster *topo.Cluster, net *fabric.Network, kind prim.Kind, count int, algo prim.Algorithm, tbl *tune.Table, rec *trace.Recorder) (CollRunRow, [][]byte, error) {
-	n := cluster.Size()
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	e := sim.NewEngine()
-	e.MaxTime = sim.Time(600 * sim.Second)
-	cfg := core.DefaultConfig()
-	cfg.Network = net
-	cfg.Tuning = tbl
-	if rec != nil {
-		cfg.Recorder = rec
-		cfg.Tracer = rec
-	}
-	sys := core.NewSystem(e, cluster, cfg)
-	bar := sim.NewBarrier("bench.barrier", n)
-	row := CollRunRow{}
-	outs := make([][]byte, n)
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		e.Spawn(fmt.Sprintf("bench.coll.rank%d", rank), func(p *sim.Process) {
-			rc := sys.Init(p, rank)
-			coll, err := rc.Open(benchCollSpec(kind, count, ranks, algo))
-			if err != nil {
-				fail(err)
-				return
-			}
-			if rank == 0 {
-				row.Resolved = coll.Spec().Algo
-			}
-			sendCount, recvCount := prim.BufferCountsFor(coll.Spec(), rank)
-			send := mem.NewBuffer(mem.DeviceSpace, mem.Float64, sendCount)
-			recv := mem.NewBuffer(mem.DeviceSpace, mem.Float64, recvCount)
-			for i := 0; i < sendCount; i++ {
-				send.SetFloat64(i, benchCollVal(rank, i))
-			}
-			bar.Wait(p)
-			start := p.Now()
-			fut, err := coll.Launch(p, send, recv)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := fut.Wait(p); err != nil {
-				fail(err)
-				return
-			}
-			if rank == 0 {
-				row.E2E = p.Now().Sub(start)
-			}
-			st := coll.Stats()
-			row.SHMBytes += st.BytesSentBy.SHM
-			row.RDMABytes += st.BytesSentBy.RDMA
-			outs[rank] = append([]byte(nil), recv.Bytes()...)
-			if err := coll.Close(p); err != nil {
-				fail(err)
-			}
-			rc.Destroy(p)
-		})
-	}
-	err := e.Run()
-	if firstErr != nil {
-		return row, nil, firstErr
-	}
-	if err != nil {
-		return row, nil, fmt.Errorf("bench: %v/%v: %w", kind, algo, err)
-	}
-	return row, outs, nil
-}
-
 // tuneShapes are the node shapes the sweep (and the committed table)
 // covers; the picker nearest-matches shapes in between.
-var tuneShapes = []struct{ nodes, gpus int }{{1, 4}, {2, 2}, {2, 4}, {4, 4}}
+var tuneShapes = []shape{{1, 4}, {2, 2}, {2, 4}, {4, 4}}
 
 // tuneProbeSizes is the per-rank payload ladder (elements) the sweep
 // probes for each crossover.
@@ -146,26 +31,24 @@ var tuneKinds = []prim.Kind{
 // is a no-op diff.
 func TuneSweep() (*tune.Table, error) {
 	tbl := &tune.Table{}
-	for _, shape := range tuneShapes {
+	for _, sh := range tuneShapes {
 		for _, kind := range tuneKinds {
-			n := shape.nodes * shape.gpus
 			keys := make([]int, 0, len(tuneProbeSizes))
 			wins := make([]bool, 0, len(tuneProbeSizes))
 			for _, size := range tuneProbeSizes {
-				count := size
-				if kind == prim.ReduceScatter {
-					count = ((size + n - 1) / n) * n // recv shares must divide evenly
-				}
-				ringE2E, hierE2E, err := probeCell(shape.nodes, shape.gpus, kind, count)
-				if err != nil {
-					return nil, err
-				}
-				key := count
-				if kind == prim.AllToAllv {
-					key = size // uniform matrix: mean per-pair count == size
+				var e2e [2]sim.Duration
+				var key int
+				for i, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
+					cluster := sh.cluster()
+					spec, elems := benchSpec(kind, size, cluster.Size(), algo)
+					row, _, _, err := runColl(cluster, nil, spec, nil)
+					if err != nil {
+						return nil, err
+					}
+					e2e[i], key = row.E2E, elems
 				}
 				keys = append(keys, key)
-				wins = append(wins, hierE2E <= ringE2E)
+				wins = append(wins, e2e[1] <= e2e[0])
 			}
 			cross := -1
 			for i := len(wins) - 1; i >= 0; i-- {
@@ -178,52 +61,12 @@ func TuneSweep() (*tune.Table, error) {
 				cross = 0 // hierarchical won at every probe
 			}
 			tbl.Rows = append(tbl.Rows, tune.Row{
-				Kind: kind.String(), Nodes: shape.nodes, GPUsPerNode: shape.gpus,
+				Kind: kind.String(), Nodes: sh.nodes, GPUsPerNode: sh.gpus,
 				Fabric: "unshared", CrossoverElems: cross,
 			})
 		}
 	}
 	return tbl, nil
-}
-
-// probeCell measures one (shape, kind, count) cell under both concrete
-// algorithms on the unshared fabric.
-func probeCell(nodes, gpus int, kind prim.Kind, count int) (ringE2E, hierE2E sim.Duration, err error) {
-	if kind == prim.AllToAllv {
-		n := nodes * gpus
-		counts := make([][]int, n)
-		for i := range counts {
-			counts[i] = make([]int, n)
-			for j := range counts[i] {
-				counts[i][j] = count
-			}
-		}
-		for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
-			row, _, e := runA2A(topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks), counts, algo)
-			if e != nil {
-				return 0, 0, e
-			}
-			if algo == prim.AlgoRing {
-				ringE2E = row.E2E
-			} else {
-				hierE2E = row.E2E
-			}
-		}
-		return ringE2E, hierE2E, nil
-	}
-	for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical} {
-		cluster := topo.NewCluster(nodes, gpus, topo.RTX3090, topo.DefaultLinks)
-		row, _, e := runCollWith(cluster, nil, kind, count, algo, nil, nil)
-		if e != nil {
-			return 0, 0, e
-		}
-		if algo == prim.AlgoRing {
-			ringE2E = row.E2E
-		} else {
-			hierE2E = row.E2E
-		}
-	}
-	return ringE2E, hierE2E, nil
 }
 
 // AutoGateRow is one cell of the ring-vs-hierarchical-vs-auto gate.
@@ -274,39 +117,28 @@ const autoGateTolerance = 1.02
 // tolerance with bit-identical outputs. Returns the rows and whether
 // every cell passed.
 func AutoAlgoGate() ([]AutoGateRow, bool, error) {
-	kinds := []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter}
-	shapes := []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}}
-	sizes := []int{16, 1024, 4096}
 	var rows []AutoGateRow
 	ok := true
-	for _, shape := range shapes {
-		for _, kind := range kinds {
-			for _, size := range sizes {
-				n := shape.nodes * shape.gpus
-				count := size
-				if kind == prim.ReduceScatter {
-					count = ((size + n - 1) / n) * n
-				}
-				newCluster := func() *topo.Cluster {
-					return topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
-				}
-				ringRow, ringOuts, err := runCollWith(newCluster(), nil, kind, count, prim.AlgoRing, nil, nil)
-				if err != nil {
-					return nil, false, err
-				}
-				hierRow, _, err := runCollWith(newCluster(), nil, kind, count, prim.AlgoHierarchical, nil, nil)
-				if err != nil {
-					return nil, false, err
-				}
-				autoRow, autoOuts, err := runCollWith(newCluster(), nil, kind, count, prim.AlgoAuto, nil, nil)
-				if err != nil {
-					return nil, false, err
+	for _, sh := range benchShapes {
+		for _, kind := range []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter} {
+			for _, size := range []int{16, 1024, 4096} {
+				var runs [3]CollRunRow
+				var outs [3][][]byte
+				var elems int
+				for i, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical, prim.AlgoAuto} {
+					cluster := sh.cluster()
+					spec, n := benchSpec(kind, size, cluster.Size(), algo)
+					run, out, _, err := runColl(cluster, nil, spec, nil)
+					if err != nil {
+						return nil, false, err
+					}
+					runs[i], outs[i], elems = run, out, n
 				}
 				row := AutoGateRow{
-					Kind: kind, Nodes: shape.nodes, GPUsPerNode: shape.gpus, Elems: count,
-					RingE2E: ringRow.E2E, HierE2E: hierRow.E2E, AutoE2E: autoRow.E2E,
-					Resolved:     autoRow.Resolved,
-					BitIdentical: bytesEqual(ringOuts, autoOuts),
+					Kind: kind, Nodes: sh.nodes, GPUsPerNode: sh.gpus, Elems: elems,
+					RingE2E: runs[0].E2E, HierE2E: runs[1].E2E, AutoE2E: runs[2].E2E,
+					Resolved:     runs[2].Resolved,
+					BitIdentical: bytesEqual(outs[0], outs[2]),
 				}
 				ok = ok && row.Pass()
 				rows = append(rows, row)
@@ -314,52 +146,6 @@ func AutoAlgoGate() ([]AutoGateRow, bool, error) {
 		}
 	}
 	return rows, ok, nil
-}
-
-// CollBenchCells generates the full-collective half of the benchmark
-// matrix: the three reduction kinds × payload sizes × ring /
-// hierarchical / auto × node shapes, each priced on the unshared
-// fabric and on a 2:1-oversubscribed shared fabric. Deterministic by
-// construction, like A2ABenchMatrix.
-func CollBenchCells() ([]BenchCell, error) {
-	const benchOversub = 2.0
-	kinds := []prim.Kind{prim.AllReduce, prim.AllGather, prim.ReduceScatter}
-	var cells []BenchCell
-	for _, shape := range []struct{ nodes, gpus int }{{1, 4}, {2, 4}, {4, 4}} {
-		for _, kind := range kinds {
-			for _, elems := range []int{64, 512, 4096} {
-				n := shape.nodes * shape.gpus
-				count := elems
-				if kind == prim.ReduceScatter {
-					count = ((elems + n - 1) / n) * n
-				}
-				for _, algo := range []prim.Algorithm{prim.AlgoRing, prim.AlgoHierarchical, prim.AlgoAuto} {
-					for _, shared := range []bool{false, true} {
-						cluster := topo.NewCluster(shape.nodes, shape.gpus, topo.RTX3090, topo.DefaultLinks)
-						var net *fabric.Network
-						cell := BenchCell{
-							Figure: "collbench", Kind: kind.String(),
-							Nodes: shape.nodes, GPUsPerNode: shape.gpus,
-							Elems: count, Algo: fmt.Sprint(algo), Fabric: "unshared",
-						}
-						if shared {
-							net = fabric.Shared(cluster, fabric.OversubConfig(benchOversub))
-							cell.Fabric = fmt.Sprintf("oversub%g", benchOversub)
-							cell.Oversub = benchOversub
-						}
-						row, _, err := runCollWith(cluster, net, kind, count, algo, nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						cell.E2ENs = int64(row.E2E)
-						cell.SHMBytes, cell.RDMABytes = row.SHMBytes, row.RDMABytes
-						cells = append(cells, cell)
-					}
-				}
-			}
-		}
-	}
-	return cells, nil
 }
 
 // FullBenchMatrix is the BENCH_pr10.json matrix: the all-to-all and

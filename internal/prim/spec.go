@@ -610,9 +610,7 @@ func (s Spec) SequenceFor(pos int) *Sequence {
 		return s.broadcastSeq(pos, n)
 	case Reduce:
 		return s.reduceSeq(pos, n)
-	case AllToAll:
-		return s.allToAllSeq(pos, n)
-	case AllToAllv:
+	case AllToAll, AllToAllv:
 		return s.allToAllvSeq(pos, n)
 	default:
 		panic(fmt.Sprintf("prim: unknown kind %v", s.Kind))
@@ -729,70 +727,6 @@ func (s Spec) reduceScatterSeq(pos, n int) *Sequence {
 	return seq
 }
 
-// allToAllSeq builds the ring all-to-all: every rank holds one Count-
-// element block per peer, and block (src=i, dst=j) travels (j-i) mod n
-// hops along the ring. The schedule runs distances st = 1..n-1; within
-// a distance, hop h of the block is forwarded at step (st, h), so every
-// step each rank sends exactly one block chunk and receives exactly
-// one — uniform flow that keeps the bounded connectors deadlock-free
-// under in-order execution and resumable under preemption.
-//
-// Working-buffer (scratch) layout, in Count-element segments:
-//
-//	[0, n)      own send blocks (init copy of the send buffer)
-//	[n, 2n)     received final blocks, indexed by origin rank position
-//	[2n, 2n+2)  two alternating transit slots for blocks in flight
-//
-// The copy-out concatenates origin blocks 0..n-1 into the recv buffer;
-// the rank's own self block (src=dst=pos) comes straight from the own-
-// block area, which no action ever overwrites.
-func (s Spec) allToAllSeq(pos, n int) *Sequence {
-	if n == 1 {
-		return noopCopySeq(s.Count, s.chunk())
-	}
-	segs := make([]segRange, 2*n+2)
-	for i := range segs {
-		segs[i] = segRange{Lo: i * s.Count, Hi: (i + 1) * s.Count}
-	}
-	seq := &Sequence{
-		segs:           segs,
-		chunkElems:     s.chunk(),
-		workLen:        (2*n + 2) * s.Count,
-		initCopyOwnSeg: initCopyPrefix,
-		useScratch:     true,
-		copyOutSeg:     -1,
-	}
-	seq.Rounds = ceilDiv(s.Count, seq.chunkElems)
-	seq.copyOutSegs = make([]int, n)
-	for o := 0; o < n; o++ {
-		seq.copyOutSegs[o] = n + o // final block from origin o
-	}
-	seq.copyOutSegs[pos] = pos // self block stays in the own area
-	transit, lastTransit := 0, 0
-	for st := 1; st < n; st++ {
-		for h := 1; h <= st; h++ {
-			var a Action
-			if h == 1 {
-				// Inject the rank's own block destined st hops ahead.
-				a.SendSeg = mod(pos+st, n)
-			} else {
-				// Forward the block received at the previous step.
-				a.SendSeg = 2*n + lastTransit
-			}
-			if h == st {
-				// Final hop: the block originated st hops behind.
-				a.RecvSeg = n + mod(pos-st, n)
-			} else {
-				a.RecvSeg = 2*n + transit
-				lastTransit = transit
-				transit = 1 - transit
-			}
-			seq.Actions = append(seq.Actions, a)
-		}
-	}
-	return seq
-}
-
 // noopCopySeq is the explicit single-participant all-to-all(-v)
 // sequence: a one-round local copy (recv = send) with no ring actions.
 // The init copy performs the data movement; Rounds is pinned to 1 —
@@ -810,11 +744,14 @@ func noopCopySeq(count, chunk int) *Sequence {
 	}
 }
 
-// allToAllvSeq builds the ragged-segment ring all-to-all: the same
-// store-and-forward schedule as allToAllSeq (distances st = 1..n-1, hop
-// h of a block forwarded at step (st, h), one block chunk sent and one
-// received per step), but block (src=i, dst=j) carries Counts[i][j]
-// elements instead of a uniform Count.
+// allToAllvSeq builds the ring all-to-all(-v): block (src=i, dst=j)
+// carries Counts[i][j] elements (Count for every block of an AllToAll,
+// through uniformCounts) and travels (j-i) mod n hops along the ring.
+// The schedule runs distances st = 1..n-1; within a distance, hop h of
+// the block is forwarded at step (st, h), so every step each rank sends
+// exactly one block chunk and receives exactly one — uniform flow that
+// keeps the bounded connectors deadlock-free under in-order execution
+// and resumable under preemption.
 //
 // Working-buffer (scratch) layout, as ragged segments:
 //
@@ -836,6 +773,9 @@ func noopCopySeq(count, chunk int) *Sequence {
 // offsets, exactly the recv-buffer layout of RecvCountsFor.
 func (s Spec) allToAllvSeq(pos, n int) *Sequence {
 	cnt := s.Counts
+	if s.Kind == AllToAll {
+		cnt = uniformCounts(n, s.Count)
+	}
 	if n == 1 {
 		return noopCopySeq(cnt[0][0], s.chunk())
 	}

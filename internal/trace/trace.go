@@ -222,11 +222,11 @@ type Mark struct {
 	Note string
 }
 
-// Recorder accumulates the full-depth flight-recorder streams. It
-// satisfies the core package's Tracer interface (the Events stream)
-// and additionally collects action spans, sends, fabric flow events,
-// saturation intervals, and membership marks when threaded through
-// core.Config.Recorder. The zero value is ready to use.
+// Recorder accumulates the full-depth flight-recorder streams: daemon
+// scheduling events when installed as core.Config.Tracer, and action
+// spans, sends, fabric flow events, saturation intervals, and
+// membership marks when threaded through core.Config.Recorder. The
+// zero value is ready to use.
 //
 // The simulation engine is cooperatively scheduled, so all appends
 // happen from one goroutine and need no locking.
@@ -239,9 +239,9 @@ type Recorder struct {
 	Marks   []Mark
 }
 
-// Record implements the Tracer hook.
-func (r *Recorder) Record(at sim.Time, gpu, coll int, kind int) {
-	r.Events = append(r.Events, Event{At: at, GPU: gpu, Coll: coll, Kind: Kind(kind)})
+// Record appends a daemon scheduling event.
+func (r *Recorder) Record(at sim.Time, gpu, coll int, kind Kind) {
+	r.Events = append(r.Events, Event{At: at, GPU: gpu, Coll: coll, Kind: kind})
 }
 
 // RecordAction appends a completed primitive action span.
